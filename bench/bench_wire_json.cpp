@@ -14,6 +14,7 @@
 /// buffers, recycled map nodes). The check failing flips the exit status.
 ///
 ///   ./bench/bench_wire_json [--json=PATH]   (default BENCH_wire.json)
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -360,6 +361,80 @@ FastPathCheck run_telemetry_idle_alloc_check() {
   return check;
 }
 
+/// Dead-peer cell: the cost of a crashed member that monitoring has not
+/// excluded yet (exclusion is off for the whole run). Every survivor keeps
+/// its output buffer to the dead peer growing, as output-triggered
+/// suspicion needs; the channel's paced, frame-bounded retransmission must
+/// keep what that buffer costs on the wire small and every datagram within
+/// one UDP datagram. Deterministic counts, gated in CI.
+struct DeadPeerCell {
+  int n = 5;
+  std::int64_t delivered = 0;         // abcast deliveries at the survivors
+  std::int64_t retransmits = 0;       // messages retransmitted by survivors
+  std::int64_t retransmit_bytes = 0;  // their payload bytes
+  std::size_t max_datagram = 0;       // largest datagram any process sent
+  bool completed = false;
+
+  double retransmit_bytes_per_delivery() const {
+    return delivered > 0 ? static_cast<double>(retransmit_bytes) / static_cast<double>(delivered)
+                         : 0.0;
+  }
+};
+
+/// Committed bound on DeadPeerCell::retransmit_bytes_per_delivery. The paced
+/// channel measures ~650 B; resending the whole backlog every rto costs
+/// ~50 KB per delivery here.
+constexpr double kDeadPeerRetransmitBound = 2048;
+/// Largest payload a UDP socket sends (UdpTransport::Config::max_datagram).
+constexpr std::size_t kUdpMaxDatagram = 65507;
+
+DeadPeerCell run_dead_peer_cell() {
+  DeadPeerCell cell;
+  const int n = cell.n;
+  const ProcessId dead = n - 1;
+  World::Config config;
+  config.n = n;
+  config.seed = 401;
+  config.stack.monitoring.exclusion_timeout = sec(3600);  // never within the run
+  World world(config);
+  OracleScope oracle(world, "wire/dead_peer");
+  world.network().set_tap([&cell](ProcessId, ProcessId, const Bytes& d) {
+    cell.max_datagram = std::max(cell.max_datagram, d.size());
+  });
+  std::vector<int> delivered(static_cast<std::size_t>(n), 0);
+  for (ProcessId p = 0; p < n; ++p) {
+    world.stack(p).on_adeliver([&delivered, p](const MsgId&, const Bytes&) {
+      ++delivered[static_cast<std::size_t>(p)];
+    });
+  }
+  world.found_group_all();
+  world.run_for(msec(20));
+  world.crash(dead);
+
+  constexpr int kDeadPeerMsgs = 2000;  // 1 KiB at 1k/s for 2 s
+  int sent = 0;
+  std::function<void()> tick = [&] {
+    if (sent >= kDeadPeerMsgs) return;
+    world.stack(static_cast<ProcessId>(sent % (n - 1))).abcast(sized_payload(sent, 1024));
+    ++sent;
+    world.engine().schedule_after(kGap, tick);
+  };
+  world.engine().schedule_after(0, tick);
+  cell.completed = drive(world.engine(), sec(120), [&] {
+    for (ProcessId p = 0; p < dead; ++p) {
+      if (delivered[static_cast<std::size_t>(p)] < kDeadPeerMsgs) return false;
+    }
+    return true;
+  });
+  for (ProcessId p = 0; p < dead; ++p) {
+    const Metrics& m = world.stack(p).metrics();
+    cell.delivered += m.counter("abcast.delivered");
+    cell.retransmits += m.counter("channel.retransmits");
+    cell.retransmit_bytes += m.counter("channel.retransmit_bytes");
+  }
+  return cell;
+}
+
 int run_suite(const std::string& json_path) {
   banner("wire path — bytes on the wire per delivered message",
          "E6-style abcast and E3-style gbcast workloads under the slim\n"
@@ -401,6 +476,16 @@ int run_suite(const std::string& json_path) {
               static_cast<long long>(telemetry_idle.net_allocs),
               telemetry_idle.net_per_delivery(), telemetry_idle.passed ? "OK" : "FAILED");
 
+  const DeadPeerCell dead = run_dead_peer_cell();
+  const bool dead_passed = dead.completed &&
+                           dead.retransmit_bytes_per_delivery() < kDeadPeerRetransmitBound &&
+                           dead.max_datagram <= kUdpMaxDatagram;
+  std::printf("  dead peer, n=%d: %lld deliveries, %lld retransmits, %.1f retransmitted B/delivery "
+              "(bound %.0f), largest datagram %zu B — %s\n",
+              dead.n, static_cast<long long>(dead.delivered),
+              static_cast<long long>(dead.retransmits), dead.retransmit_bytes_per_delivery(),
+              kDeadPeerRetransmitBound, dead.max_datagram, dead_passed ? "OK" : "FAILED");
+
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
@@ -434,18 +519,30 @@ int run_suite(const std::string& json_path) {
                json_num(fastpath.net_per_delivery()).c_str(), fastpath.passed ? "true" : "false");
   std::fprintf(out,
                "  \"telemetry_idle_alloc_check\": {\"layer\": \"gbcast\", \"deliveries\": %lld, "
-               "\"net_allocs\": %lld, \"net_allocs_per_delivery\": %s, \"passed\": %s}\n}\n",
+               "\"net_allocs\": %lld, \"net_allocs_per_delivery\": %s, \"passed\": %s},\n",
                static_cast<long long>(telemetry_idle.deliveries),
                static_cast<long long>(telemetry_idle.net_allocs),
                json_num(telemetry_idle.net_per_delivery()).c_str(),
                telemetry_idle.passed ? "true" : "false");
+  std::fprintf(out,
+               "  \"dead_peer\": {\"layer\": \"abcast\", \"n\": %d, \"payload_bytes\": 1024, "
+               "\"completed\": %s, \"delivered\": %lld, \"retransmits\": %lld,\n"
+               "    \"retransmit_bytes\": %lld, \"retransmit_bytes_per_delivery\": %s, "
+               "\"retransmit_bytes_bound\": %s,\n"
+               "    \"max_datagram\": %zu, \"max_datagram_bound\": %zu, \"passed\": %s}\n}\n",
+               dead.n, dead.completed ? "true" : "false", static_cast<long long>(dead.delivered),
+               static_cast<long long>(dead.retransmits),
+               static_cast<long long>(dead.retransmit_bytes),
+               json_num(dead.retransmit_bytes_per_delivery()).c_str(),
+               json_num(kDeadPeerRetransmitBound).c_str(), dead.max_datagram, kUdpMaxDatagram,
+               dead_passed ? "true" : "false");
   std::fclose(out);
   std::printf("\n  wrote %s\n", json_path.c_str());
 
   bool all_completed = true;
   for (const Cell& c : cells) all_completed = all_completed && c.completed;
   if (!all_completed) std::fprintf(stderr, "some cells did not finish within budget\n");
-  return (fastpath.passed && telemetry_idle.passed && all_completed) ? 0 : 1;
+  return (fastpath.passed && telemetry_idle.passed && dead_passed && all_completed) ? 0 : 1;
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "channel/reliable_channel.hpp"
 
+#include <algorithm>
+
 #include "util/codec.hpp"
 
 namespace gcs {
@@ -8,6 +10,12 @@ namespace {
 constexpr std::uint8_t kData = 0;
 constexpr std::uint8_t kAck = 1;
 constexpr std::uint8_t kBatch = 2;
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 }  // namespace
 
 ReliableChannel::ReliableChannel(sim::Context& ctx, Transport& transport)
@@ -18,6 +26,7 @@ ReliableChannel::ReliableChannel(sim::Context& ctx, Transport& transport, Config
       m_sent_(metric_id("channel.sent")), m_batches_(metric_id("channel.batches")),
       m_delivered_(metric_id("channel.delivered")),
       m_retransmits_(metric_id("channel.retransmits")),
+      m_retransmit_bytes_(metric_id("channel.retransmit_bytes")),
       h_residence_(metric_id("channel.residence_us")),
       h_fc_stall_(metric_id("channel.fc_stall_us")),
       handlers_(static_cast<std::size_t>(Tag::kMax)) {
@@ -39,11 +48,24 @@ void ReliableChannel::account_upper(Tag upper, std::size_t wire_bytes) {
 
 void ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
   PeerOut& peer = out_[to];
-  const std::uint64_t seq = peer.next_seq++;
-  peer.unacked.emplace(seq, Outgoing{upper, std::move(payload), kNeverSent});
+  peer.unacked.push_back(Outgoing{upper, std::move(payload), 0});
   ctx_.metrics().inc(m_sent_);
   pump(to, peer);
   arm_retransmit_timer();
+}
+
+std::size_t ReliableChannel::admit(PeerOut& peer) {
+  // With send_window == 0 everything goes immediately.
+  std::size_t n = peer.queued();
+  if (config_.send_window > 0) {
+    const std::size_t room =
+        peer.in_flight() < config_.send_window ? config_.send_window - peer.in_flight() : 0;
+    n = std::min(n, room);
+  }
+  const std::size_t first = peer.in_flight();
+  for (std::size_t i = 0; i < n; ++i) peer.unacked[first + i].first_sent = ctx_.now();
+  peer.next_unsent += n;
+  return n;
 }
 
 void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
@@ -56,29 +78,23 @@ void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
     return;
   }
   // Transmit queued messages while the flow-control window has room.
-  // (With send_window == 0 everything goes immediately.)
-  for (auto& [seq, msg] : peer.unacked) {
-    if (config_.send_window > 0 && peer.in_flight >= config_.send_window) break;
-    if (msg.first_sent != kNeverSent) continue;
-    msg.first_sent = ctx_.now();
-    ++peer.in_flight;
-    transmit(to, seq, msg);
-  }
+  const std::size_t first = peer.in_flight();
+  const std::size_t n = admit(peer);
+  for (std::size_t i = 0; i < n; ++i) transmit(to, peer, first + i, 1);
   update_fc_stall(to, peer);
 }
 
 void ReliableChannel::update_fc_stall(ProcessId to, PeerOut& peer) {
   if (config_.send_window == 0) return;
   // Stalled = the window is full AND at least one message is held back.
-  const bool stalled =
-      peer.in_flight >= config_.send_window && peer.unacked.size() > peer.in_flight;
+  const bool stalled = peer.in_flight() >= config_.send_window && peer.queued() > 0;
   if (stalled == peer.fc_stalled) return;
   peer.fc_stalled = stalled;
   if (stalled) {
     peer.fc_since = ctx_.now();
     ctx_.trace_begin(obs::Names::get().channel_fc_stall,
                      MsgId{obs::kPeerKey, static_cast<std::uint64_t>(to)},
-                     static_cast<std::int64_t>(peer.unacked.size() - peer.in_flight));
+                     static_cast<std::int64_t>(peer.queued()));
   } else {
     ctx_.metrics().observe(h_fc_stall_, ctx_.now() - peer.fc_since);
     ctx_.trace_end(obs::Names::get().channel_fc_stall,
@@ -91,43 +107,56 @@ void ReliableChannel::flush(ProcessId to) {
   if (oit == out_.end()) return;
   PeerOut& peer = oit->second;
   peer.flush_armed = false;
-  std::vector<std::pair<std::uint64_t, const Outgoing*>> batch;
-  for (auto& [seq, msg] : peer.unacked) {
-    if (config_.send_window > 0 && peer.in_flight >= config_.send_window) break;
-    if (msg.first_sent != kNeverSent) continue;
-    msg.first_sent = ctx_.now();
-    ++peer.in_flight;
-    batch.emplace_back(seq, &msg);
-  }
+  const std::size_t first = peer.in_flight();
+  const std::size_t n = admit(peer);
   update_fc_stall(to, peer);
-  if (batch.empty()) return;
-  if (batch.size() == 1) {
-    transmit(to, batch[0].first, *batch[0].second);
-  } else {
-    transmit_batch(to, batch);
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t count = frame_fit(peer, first + done, n - done);
+    transmit(to, peer, first + done, count);
+    done += count;
   }
 }
 
-void ReliableChannel::transmit_batch(
-    ProcessId to, const std::vector<std::pair<std::uint64_t, const Outgoing*>>& msgs) {
+std::size_t ReliableChannel::frame_fit(const PeerOut& peer, std::size_t first,
+                                       std::size_t max) {
+  // Batch header: kind byte + count varint (10 bytes covers any count).
+  std::size_t bytes = 1 + 10;
+  std::size_t count = 0;
+  for (; count < max; ++count) {
+    const Outgoing& msg = peer.unacked[first + count];
+    const std::size_t len = msg.payload.size();
+    const std::size_t entry = varint_size(peer.base + first + count) + 1 + varint_size(len) + len;
+    if (count > 0 && bytes + entry > kMaxFrame) break;
+    bytes += entry;
+  }
+  return count;
+}
+
+void ReliableChannel::transmit(ProcessId to, const PeerOut& peer, std::size_t first,
+                               std::size_t count) {
   // Frame into the reusable scratch buffer; u_send copies it into the
   // outgoing datagram synchronously, so reuse per call is safe.
   scratch_.clear();
   Encoder enc(scratch_);
-  enc.put_byte(kBatch);
-  enc.put_u64(msgs.size());
-  for (const auto& [seq, msg] : msgs) {
+  if (count == 1) {
+    enc.put_byte(kData);
+  } else {
+    enc.put_byte(kBatch);
+    enc.put_u64(count);
+    ctx_.metrics().inc(m_batches_);
+  }
+  for (std::size_t i = first; i < first + count; ++i) {
+    const Outgoing& msg = peer.unacked[i];
     const std::size_t before = enc.size();
-    enc.put_u64(seq);
-    enc.put_byte(static_cast<std::uint8_t>(msg->upper));
-    enc.put_bytes(msg->payload.bytes());
-    account_upper(msg->upper, enc.size() - before);
+    enc.put_u64(peer.base + i);
+    enc.put_byte(static_cast<std::uint8_t>(msg.upper));
+    enc.put_bytes(msg.payload.bytes());
+    account_upper(msg.upper, enc.size() - before);
     ctx_.trace_instant(obs::Names::get().channel_tx, MsgId{},
-                       obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg->upper),
-                                             msg->payload.size()));
+                       obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
+                                             msg.payload.size()));
   }
   ++datagrams_sent_;
-  ctx_.metrics().inc(m_batches_);
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
@@ -137,11 +166,8 @@ void ReliableChannel::subscribe(Tag upper, Handler handler) {
 
 Duration ReliableChannel::oldest_unacked_age(ProcessId to) const {
   auto it = out_.find(to);
-  if (it == out_.end()) return 0;
-  for (const auto& [seq, msg] : it->second.unacked) {
-    if (msg.first_sent != kNeverSent) return ctx_.now() - msg.first_sent;
-  }
-  return 0;
+  if (it == out_.end() || it->second.in_flight() == 0) return 0;
+  return ctx_.now() - it->second.unacked.front().first_sent;
 }
 
 std::size_t ReliableChannel::unacked_count(ProcessId to) const {
@@ -152,13 +178,16 @@ std::size_t ReliableChannel::unacked_count(ProcessId to) const {
 void ReliableChannel::forget(ProcessId to) {
   auto it = out_.find(to);
   if (it != out_.end()) {
-    it->second.unacked.clear();
-    it->second.in_flight = 0;
-    if (it->second.fc_stalled) {
+    PeerOut& peer = it->second;
+    peer.base = peer.next_seq();
+    peer.next_unsent = peer.base;
+    peer.unacked.clear();
+    peer.retransmit_at = 0;
+    if (peer.fc_stalled) {
       // The peer was excluded while its window was full; close the stall
       // span so the flight recorder stays balanced.
-      it->second.fc_stalled = false;
-      ctx_.metrics().observe(h_fc_stall_, ctx_.now() - it->second.fc_since);
+      peer.fc_stalled = false;
+      ctx_.metrics().observe(h_fc_stall_, ctx_.now() - peer.fc_since);
       ctx_.trace_end(obs::Names::get().channel_fc_stall,
                      MsgId{obs::kPeerKey, static_cast<std::uint64_t>(to)});
     }
@@ -167,28 +196,7 @@ void ReliableChannel::forget(ProcessId to) {
 
 std::size_t ReliableChannel::queued_by_flow_control(ProcessId to) const {
   auto it = out_.find(to);
-  if (it == out_.end()) return 0;
-  std::size_t queued = 0;
-  for (const auto& [seq, msg] : it->second.unacked) {
-    if (msg.first_sent == kNeverSent) ++queued;
-  }
-  return queued;
-}
-
-void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg) {
-  ++datagrams_sent_;
-  ctx_.trace_instant(obs::Names::get().channel_tx, MsgId{},
-                     obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
-                                           msg.payload.size()));
-  scratch_.clear();
-  Encoder enc(scratch_);
-  enc.put_byte(kData);
-  const std::size_t before = enc.size();
-  enc.put_u64(seq);
-  enc.put_byte(static_cast<std::uint8_t>(msg.upper));
-  enc.put_bytes(msg.payload.bytes());
-  account_upper(msg.upper, enc.size() - before);
-  transport_.u_send(to, Tag::kChannel, scratch_);
+  return it == out_.end() ? 0 : it->second.queued();
 }
 
 void ReliableChannel::send_ack(ProcessId to, std::uint64_t cumulative) {
@@ -204,19 +212,21 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
   const std::uint8_t kind = dec.get_byte();
   if (kind == kAck) {
     // Cumulative ack: everything strictly below `cumulative` is received.
+    // It can only cover transmitted messages; anything beyond the send
+    // cursor is a stale or hostile claim.
     const std::uint64_t cumulative = dec.get_u64();
     if (!dec.ok()) return;
-    PeerOut& peer = out_[from];
-    auto end = peer.unacked.lower_bound(cumulative);
-    for (auto it = peer.unacked.begin(); it != end; ++it) {
-      if (it->second.first_sent != kNeverSent) {
-        if (peer.in_flight > 0) --peer.in_flight;
-        // Time-in-channel: first transmit until the cumulative ack covers
-        // the message (the sender-side view of channel residence).
-        ctx_.metrics().observe(h_residence_, ctx_.now() - it->second.first_sent);
-      }
+    auto oit = out_.find(from);
+    if (oit == out_.end()) return;
+    PeerOut& peer = oit->second;
+    peer.heard = ctx_.now();
+    for (const std::uint64_t upto = std::min(cumulative, peer.next_unsent); peer.base < upto;
+         ++peer.base) {
+      // Time-in-channel: first transmit until the cumulative ack covers
+      // the message (the sender-side view of channel residence).
+      ctx_.metrics().observe(h_residence_, ctx_.now() - peer.unacked.front().first_sent);
+      peer.unacked.pop_front();
     }
-    peer.unacked.erase(peer.unacked.begin(), end);
     pump(from, peer);
     return;
   }
@@ -270,26 +280,38 @@ void ReliableChannel::arm_retransmit_timer() {
 void ReliableChannel::retransmit_tick() {
   timer_armed_ = false;
   bool outstanding = false;
+  const TimePoint now = ctx_.now();
   for (auto& [to, peer] : out_) {
-    std::vector<std::pair<std::uint64_t, const Outgoing*>> due;
-    for (auto& [seq, msg] : peer.unacked) {
-      // Only retransmit messages that have been in flight at least one rto;
-      // fresh sends get their first chance and flow-control-queued ones
-      // have never been transmitted at all.
-      if (msg.first_sent != kNeverSent && ctx_.now() - msg.first_sent >= config_.rto) {
-        ctx_.metrics().inc(m_retransmits_);
-        ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
-                           obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
-                                                 msg.payload.size()));
-        due.emplace_back(seq, &msg);
-      }
-      outstanding = true;
+    if (peer.unacked.empty()) continue;
+    outstanding = true;
+    if (peer.in_flight() == 0 || now < peer.retransmit_at) continue;
+    // Only retransmit messages that have been in flight at least one rto;
+    // fresh sends get their first chance and flow-control-queued ones
+    // have never been transmitted at all. first_sent is monotone in seq,
+    // so the due messages are a prefix, and one round takes at most one
+    // frame of it.
+    const TimePoint oldest_sent = peer.unacked.front().first_sent;
+    if (now - oldest_sent < config_.rto) continue;
+    const std::size_t fit = frame_fit(peer, 0, peer.in_flight());
+    std::size_t due = 1;
+    while (due < fit && now - peer.unacked[due].first_sent >= config_.rto) ++due;
+    std::int64_t bytes = 0;
+    for (std::size_t i = 0; i < due; ++i) {
+      const Outgoing& msg = peer.unacked[i];
+      bytes += static_cast<std::int64_t>(msg.payload.size());
+      ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
+                         obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
+                                               msg.payload.size()));
     }
-    if (due.size() == 1) {
-      transmit(to, due[0].first, *due[0].second);
-    } else if (due.size() > 1) {
-      transmit_batch(to, due);
-    }
+    ctx_.metrics().inc(m_retransmits_, static_cast<std::int64_t>(due));
+    ctx_.metrics().inc(m_retransmit_bytes_, bytes);
+    transmit(to, peer, 0, due);
+    // Pace by how long the peer has been silent, counted from the later
+    // of the oldest unacked message's first transmission and the peer's
+    // last ack: a lossy but live peer keeps acking and keeps the rto
+    // cadence, a silent one backs off to one frame per 8 rto.
+    const Duration silent = now - std::max(oldest_sent, peer.heard);
+    peer.retransmit_at = now + std::clamp(silent / 4, config_.rto, 8 * config_.rto);
   }
   if (outstanding) arm_retransmit_timer();
 }

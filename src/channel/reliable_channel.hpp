@@ -8,12 +8,25 @@
 /// transport — the shape of the TCP-based channel of [Ekwall et al. 2002]
 /// that the paper cites.
 ///
+/// Cost model: every operation is independent of the backlog to a peer.
+/// Each peer's output buffer is a seq-indexed deque with a send cursor
+/// (first never-transmitted message), so sends, acks and the flow-control
+/// queue cost O(messages touched). Like TCP, the channel does not resend a
+/// silent peer's whole window every period: a retransmission round sends
+/// one datagram of at most kMaxFrame bytes, taken from the oldest due
+/// messages, and the next round to that peer waits
+/// clamp(silence / 4, rto, 8 rto), where silence is the age of the oldest
+/// unacked message or the time since the peer's last ack, whichever is
+/// shorter. A live peer on a lossy link keeps acking and so keeps the rto
+/// cadence; a crashed but not yet excluded one costs a bounded trickle.
+///
 /// The channel also exposes its output buffer age per peer: a message that
 /// stays unacknowledged for a long time is the basis for *output-triggered
 /// suspicion* (paper §3.3.2), consumed by the monitoring component.
 #pragma once
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -91,20 +104,32 @@ class ReliableChannel {
     return n;
   }
 
+  /// Largest channel frame a datagram carries when it packs several
+  /// messages (batching, retransmission): one UDP datagram (65507 B of
+  /// payload) with room left for the transport's framing. A single
+  /// message larger than this still goes out alone.
+  static constexpr std::size_t kMaxFrame = 63 * 1024;
+
  private:
   struct Outgoing {
     Tag upper;
     Payload payload;
-    TimePoint first_sent;  // kNeverSent while held back by flow control
+    TimePoint first_sent;  // meaningful once the send cursor has passed it
   };
-  static constexpr TimePoint kNeverSent = -1;
   struct PeerOut {
-    std::uint64_t next_seq = 0;
-    std::map<std::uint64_t, Outgoing> unacked;  // seq -> message
-    std::size_t in_flight = 0;                  // transmitted, unacked
-    bool flush_armed = false;                   // batching timer pending
-    bool fc_stalled = false;                    // window full, sends held back
-    TimePoint fc_since = 0;                     // when the current stall began
+    std::uint64_t base = 0;         // seq of unacked.front()
+    std::uint64_t next_unsent = 0;  // send cursor: first never-transmitted seq
+    std::deque<Outgoing> unacked;   // seqs [base, base + size), in order
+    TimePoint retransmit_at = 0;    // next retransmission round not before
+    TimePoint heard = 0;            // last ack from the peer
+    bool flush_armed = false;       // batching timer pending
+    bool fc_stalled = false;        // window full, sends held back
+    TimePoint fc_since = 0;         // when the current stall began
+
+    std::uint64_t next_seq() const { return base + unacked.size(); }
+    /// Transmitted, unacked messages: the window flow control bounds.
+    std::size_t in_flight() const { return static_cast<std::size_t>(next_unsent - base); }
+    std::size_t queued() const { return static_cast<std::size_t>(next_seq() - next_unsent); }
   };
   struct PeerIn {
     std::uint64_t next_expected = 0;
@@ -115,11 +140,16 @@ class ReliableChannel {
   void deliver(ProcessId from, Tag upper, BytesView payload);
   void send_ack(ProcessId to, std::uint64_t cumulative);
   void account_upper(Tag upper, std::size_t wire_bytes);
-  void transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg);
-  void transmit_batch(ProcessId to,
-                      const std::vector<std::pair<std::uint64_t, const Outgoing*>>& msgs);
+  /// How many messages from unacked[first] on (at most \p max) fit in one
+  /// kMaxFrame datagram; at least one.
+  static std::size_t frame_fit(const PeerOut& peer, std::size_t first, std::size_t max);
+  /// Emit unacked[first, first + count) to \p to as one datagram.
+  void transmit(ProcessId to, const PeerOut& peer, std::size_t first, std::size_t count);
+  /// Move the send cursor over every message the window admits, stamping
+  /// them sent; returns how many it admitted.
+  std::size_t admit(PeerOut& peer);
   void pump(ProcessId to, PeerOut& peer);  // flow control: fill the window
-  void flush(ProcessId to);                // batching: emit the packed datagram
+  void flush(ProcessId to);                // batching: emit the packed datagrams
   // Flow-control stall edge detection: opens/closes the channel.fc_stall
   // span and feeds the stall-duration histogram.
   void update_fc_stall(ProcessId to, PeerOut& peer);
@@ -135,6 +165,7 @@ class ReliableChannel {
   MetricId m_batches_;
   MetricId m_delivered_;
   MetricId m_retransmits_;
+  MetricId m_retransmit_bytes_;
   MetricId h_residence_;  ///< first transmit -> cumulative ack (time-in-channel)
   MetricId h_fc_stall_;   ///< send-window stall duration per peer
   // Per-upper-tag wire accounting ("<upper>.wire_bytes" / "<upper>.wire_msgs"):

@@ -22,7 +22,7 @@ SimTransport::SimTransport(sim::Context& ctx, sim::Network& network)
 
 Payload SimTransport::make_datagram(Tag tag, const Bytes& payload) {
   // Pooled: the buffer recirculates once the network's last in-flight
-  // reference drops, so steady-state sends allocate nothing.
+  // reference drops, so steady-state sends never grow a buffer.
   std::shared_ptr<Bytes> datagram = ctx_.pool().acquire();
   datagram->reserve(payload.size() + 1);
   datagram->push_back(static_cast<std::uint8_t>(tag));

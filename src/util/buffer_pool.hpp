@@ -2,13 +2,13 @@
 /// Recycling pool of shared byte buffers for the zero-copy wire path.
 ///
 /// Wire sends hand a `Payload` (shared_ptr<const Bytes>) to the network,
-/// which holds it until the last in-flight delivery runs. Allocating a
-/// fresh control block + vector per datagram dominated the send-side
-/// allocation profile; the pool instead keeps every buffer it ever handed
-/// out and re-issues one as soon as all outstanding references drop
-/// (use_count() == 1 means only the pool holds it). Buffers keep their
-/// capacity across reuse, so after warm-up steady-state sends allocate
-/// nothing.
+/// which holds it until the last in-flight delivery runs. Allocating and
+/// growing a fresh vector per datagram dominated the send-side allocation
+/// profile; the pool instead re-issues buffers that have been released.
+/// Each issued buffer carries a deleter that, when the last reference
+/// drops, clears it and pushes it onto the pool's free list, so acquire()
+/// is O(1) however many buffers are still in flight. Buffers keep their
+/// capacity across reuse, so after warm-up a send needs no buffer growth.
 ///
 /// Lifetime rules:
 ///   - acquire() returns a cleared, mutable buffer; fill it, then convert
@@ -16,6 +16,8 @@
 ///     converting — readers hold views into it.
 ///   - The buffer returns to circulation automatically when the last
 ///     Payload copy dies; there is no release() call to forget.
+///   - A buffer may outlive its pool: the free list is shared with every
+///     issued buffer and is destroyed with the last of them.
 ///   - Single-threaded by design (one pool per simulated World / Context).
 #pragma once
 
@@ -30,25 +32,35 @@ class BufferPool {
  public:
   /// A cleared buffer, capacity preserved from earlier use when recycled.
   std::shared_ptr<Bytes> acquire() {
-    const std::size_t n = entries_.size();
-    for (std::size_t step = 0; step < n; ++step) {
-      auto& slot = entries_[cursor_];
-      cursor_ = (cursor_ + 1) % n;
-      if (slot.use_count() == 1) {
-        slot->clear();
-        return slot;
-      }
+    std::unique_ptr<Bytes> buf;
+    if (free_->buffers.empty()) {
+      buf = std::make_unique<Bytes>();
+      ++created_;
+    } else {
+      buf = std::move(free_->buffers.back());
+      free_->buffers.pop_back();
     }
-    entries_.push_back(std::make_shared<Bytes>());
-    return entries_.back();
+    return std::shared_ptr<Bytes>(buf.release(), Recycle{free_});
   }
 
-  /// Buffers ever created (pool high-water mark).
-  std::size_t size() const { return entries_.size(); }
+  /// The most buffers ever live at once (pool high-water mark): a buffer
+  /// is created only when every earlier one is in use.
+  std::size_t size() const { return created_; }
 
  private:
-  std::vector<std::shared_ptr<Bytes>> entries_;
-  std::size_t cursor_ = 0;
+  struct FreeList {
+    std::vector<std::unique_ptr<Bytes>> buffers;
+  };
+  struct Recycle {
+    std::shared_ptr<FreeList> free;
+    void operator()(Bytes* b) const {
+      b->clear();
+      free->buffers.emplace_back(b);
+    }
+  };
+
+  std::shared_ptr<FreeList> free_ = std::make_shared<FreeList>();
+  std::size_t created_ = 0;
 };
 
 }  // namespace gcs

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 
 #include "channel/reliable_channel.hpp"
 #include "sim/context.hpp"
 #include "sim/network.hpp"
 #include "transport/sim_transport.hpp"
+#include "util/codec.hpp"
 #include "tests/test_util.hpp"
 
 namespace gcs {
@@ -172,6 +175,205 @@ TEST(ReliableChannel, ManyPeers) {
     return true;
   });
   EXPECT_TRUE(done);
+}
+
+/// Watches the datagrams one sender puts on the wire to one receiver
+/// (Network tap, before loss) and classifies channel frames: a data or
+/// batch frame whose first seq was already on the wire is a retransmission.
+struct WireWatch {
+  std::size_t max_datagram = 0;
+  std::int64_t retransmit_frames = 0;
+  std::int64_t retransmitted_msgs = 0;
+  std::int64_t retransmitted_bytes = 0;  // whole datagrams
+  std::set<TimePoint> retransmit_times;
+  std::uint64_t next_new_seq = 0;
+
+  WireWatch(ChannelWorld& w, ProcessId from, ProcessId to) {
+    w.network.set_tap([this, &w, from, to](ProcessId f, ProcessId t, const Bytes& d) {
+      max_datagram = std::max(max_datagram, d.size());
+      if (f != from || t != to || d.size() < 2) return;
+      Decoder dec(BytesView(d.data() + 1, d.size() - 1));  // skip the transport tag
+      const std::uint8_t kind = dec.get_byte();
+      if (kind != 0 && kind != 2) return;  // acks
+      const std::uint64_t entries = kind == 2 ? dec.get_u64() : 1;
+      const std::uint64_t first = dec.get_u64();
+      if (first < next_new_seq) {
+        ++retransmit_frames;
+        retransmitted_msgs += static_cast<std::int64_t>(entries);
+        retransmitted_bytes += static_cast<std::int64_t>(d.size());
+        retransmit_times.insert(w.engine.now());
+      }
+      next_new_seq = std::max(next_new_seq, first + entries);
+    });
+  }
+};
+
+Bytes kib_payload(int i) {
+  Bytes b = bytes_of(std::to_string(i) + ":");
+  b.resize(1024, 'x');
+  return b;
+}
+
+/// Process 0 sends message i (1 KiB) to process 1 at i ms, for i < n.
+void send_kib_every_ms(ChannelWorld& w, int n) {
+  for (int i = 0; i < n; ++i) {
+    w.engine.schedule_at(i * msec(1),
+                         [&w, i] { w.procs[0].channel->send(1, Tag::kApp, kib_payload(i)); });
+  }
+}
+
+TEST(ReliableChannel, PartitionCatchUpFitsUdpDatagrams) {
+  // A peer ~2000 x 1 KiB behind after a partition heals must catch up in
+  // datagrams a real UDP socket accepts (65507 B), in FIFO order.
+  ChannelWorld w(2, sim::LinkModel{usec(200), usec(100), 0.0});
+  WireWatch watch(w, 0, 1);
+  w.network.partition({{0}, {1}});
+  constexpr int kMsgs = 2000;
+  send_kib_every_ms(w, kMsgs);
+  w.engine.run_until(sec(2));
+  EXPECT_TRUE(w.procs[1].received.empty());
+  w.network.heal();
+  const bool done = test::run_until(w.engine, sec(20), [&] {
+    return w.procs[1].received.size() == static_cast<std::size_t>(kMsgs);
+  });
+  ASSERT_TRUE(done) << w.procs[1].received.size() << " of " << kMsgs << " delivered";
+  for (int i = 0; i < kMsgs; ++i) {
+    EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second,
+              test::str_of(kib_payload(i)));
+  }
+  EXPECT_LE(watch.max_datagram, 65507u);
+  EXPECT_GT(watch.retransmit_frames, 0);
+  w.engine.run_until(w.engine.now() + msec(5));  // last ack lands
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 0u);
+}
+
+TEST(ReliableChannel, CrashedPeerRetransmissionIsBounded) {
+  // 1 KiB at 1k/s to a crashed peer for 2 s: the backlog grows to 2000
+  // messages, but retransmission sends at most one frame per round and
+  // backs off to one round per 8 rto. The pacing rule gives exactly 20
+  // rounds in these 2 s (rto 20 ms, 20 ms ticks); an unpaced channel would
+  // resend the whole backlog every tick (~10^5 messages, ~100 MB).
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0});
+  WireWatch watch(w, 0, 1);
+  w.network.crash(1);
+  constexpr int kMsgs = 2000;
+  send_kib_every_ms(w, kMsgs);
+  w.engine.run_until(sec(2));
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), static_cast<std::size_t>(kMsgs));
+  const auto& m = w.procs[0].ctx->metrics();
+  constexpr std::int64_t kRounds = 20;
+  constexpr auto kFrame = static_cast<std::int64_t>(ReliableChannel::kMaxFrame);
+  EXPECT_EQ(watch.retransmit_frames, kRounds);
+  EXPECT_EQ(static_cast<std::int64_t>(watch.retransmit_times.size()), kRounds);
+  EXPECT_LE(watch.retransmitted_bytes, kRounds * (kFrame + 1));
+  EXPECT_LE(watch.max_datagram, 65507u);
+  EXPECT_EQ(m.counter("channel.retransmits"), watch.retransmitted_msgs);
+  EXPECT_LE(m.counter("channel.retransmits"), kRounds * (kFrame / 1024));
+  EXPECT_LE(m.counter("channel.retransmit_bytes"), kRounds * kFrame);
+  EXPECT_GT(m.counter("channel.retransmit_bytes"), 0);
+}
+
+TEST(ReliableChannel, LossyLivePeerKeepsRtoCadence) {
+  // A live peer behind a 30%-loss link is never backed off: every round
+  // retransmits whatever is due, one rto apart. The counts are those of a
+  // channel that retransmits every due message at every tick.
+  ChannelWorld w(2, sim::LinkModel{usec(300), usec(200), 0.30});
+  WireWatch watch(w, 0, 1);
+  constexpr int kMsgs = 300;
+  send_kib_every_ms(w, kMsgs);
+  const bool done = test::run_until(w.engine, sec(30), [&] {
+    return w.procs[1].received.size() == static_cast<std::size_t>(kMsgs);
+  });
+  ASSERT_TRUE(done);
+  for (int i = 0; i < kMsgs; ++i) {
+    EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second,
+              test::str_of(kib_payload(i)));
+  }
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 419);
+  EXPECT_EQ(watch.retransmit_frames, 15);
+  // One retransmission round per tick at most, ticks one rto apart.
+  EXPECT_EQ(static_cast<std::int64_t>(watch.retransmit_times.size()), watch.retransmit_frames);
+  for (TimePoint t : watch.retransmit_times) EXPECT_EQ(t % msec(20), 0) << t;
+}
+
+TEST(ReliableChannel, SendCursorWithFlowControlAndForget) {
+  ReliableChannel::Config cfg;
+  cfg.send_window = 4;
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  auto& ch = *w.procs[0].channel;
+  w.network.partition({{0}, {1}});
+  for (int i = 0; i < 10; ++i) ch.send(1, Tag::kApp, bytes_of("m" + std::to_string(i)));
+  EXPECT_EQ(ch.datagrams_sent(), 4);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 6u);
+  EXPECT_EQ(ch.unacked_count(1), 10u);
+  w.engine.run_until(msec(100));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 6u);  // retransmission does not open the window
+  EXPECT_EQ(ch.oldest_unacked_age(1), msec(100));
+
+  // Healing drains the queue through the window, in order.
+  w.network.heal();
+  ASSERT_TRUE(test::run_until(w.engine, sec(2), [&] { return w.procs[1].received.size() == 10; }));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second, "m" + std::to_string(i));
+  }
+  w.engine.run_until(w.engine.now() + msec(5));  // last ack lands
+  EXPECT_EQ(ch.queued_by_flow_control(1), 0u);
+  EXPECT_EQ(ch.unacked_count(1), 0u);
+  EXPECT_EQ(ch.oldest_unacked_age(1), 0);
+
+  // forget() while messages are held back empties both parts of the
+  // buffer; a later send is transmitted at once.
+  w.network.crash(1);
+  for (int i = 0; i < 7; ++i) ch.send(1, Tag::kApp, bytes_of("x"));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 3u);
+  w.engine.run_until(w.engine.now() + msec(50));
+  ch.forget(1);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 0u);
+  EXPECT_EQ(ch.unacked_count(1), 0u);
+  EXPECT_EQ(ch.oldest_unacked_age(1), 0);
+  const auto before = ch.datagrams_sent();
+  ch.send(1, Tag::kApp, bytes_of("after"));
+  EXPECT_EQ(ch.datagrams_sent(), before + 1);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 0u);
+  EXPECT_EQ(ch.unacked_count(1), 1u);
+  w.engine.run_until(w.engine.now() + msec(30));
+  EXPECT_EQ(ch.oldest_unacked_age(1), msec(30));
+}
+
+TEST(ReliableChannel, SendCursorWithBatching) {
+  ReliableChannel::Config cfg;
+  cfg.send_window = 8;
+  cfg.batch_delay = msec(1);
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  WireWatch watch(w, 0, 1);
+  auto& ch = *w.procs[0].channel;
+  // 200 x 1 KiB in one burst: batches of at most one window, each within
+  // one UDP datagram.
+  for (int i = 0; i < 200; ++i) ch.send(1, Tag::kApp, kib_payload(i));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 200u);  // nothing leaves before the flush
+  EXPECT_EQ(ch.oldest_unacked_age(1), 0);
+  w.engine.run_until(msec(1));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 192u);
+  EXPECT_EQ(ch.datagrams_sent(), 1);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.procs[1].received.size() == 200; }));
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second,
+              test::str_of(kib_payload(i)));
+  }
+  EXPECT_LE(watch.max_datagram, 65507u);
+
+  // forget() with a flush pending: the flush finds nothing, and a send
+  // after forget() still goes out with the next flush.
+  w.network.crash(1);
+  for (int i = 0; i < 3; ++i) ch.send(1, Tag::kApp, bytes_of("y"));
+  ch.forget(1);
+  ch.send(1, Tag::kApp, bytes_of("after"));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 1u);
+  const auto before = ch.datagrams_sent();
+  w.engine.run_until(w.engine.now() + msec(1));
+  EXPECT_EQ(ch.datagrams_sent(), before + 1);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 0u);
+  EXPECT_EQ(ch.unacked_count(1), 1u);
 }
 
 }  // namespace

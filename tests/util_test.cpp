@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "sim/context.hpp"
+#include "sim/engine.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/codec.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -379,6 +384,68 @@ TEST(Types, DurationHelpers) {
   EXPECT_EQ(usec(5), 5);
   EXPECT_EQ(msec(5), 5000);
   EXPECT_EQ(sec(5), 5000000);
+}
+
+TEST(BufferPool, RecycledBufferIsClearedWithCapacityKept) {
+  BufferPool pool;
+  auto buf = pool.acquire();
+  buf->assign(1000, 0xab);
+  const Bytes* addr = buf.get();
+  const std::size_t capacity = buf->capacity();
+  buf.reset();  // last reference: back on the free list
+  auto again = pool.acquire();
+  EXPECT_EQ(again.get(), addr);
+  EXPECT_TRUE(again->empty());
+  EXPECT_GE(again->capacity(), capacity);
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(BufferPool, SizeIsHighWaterOfLiveBuffers) {
+  BufferPool pool;
+  EXPECT_EQ(pool.size(), 0u);
+  std::vector<std::shared_ptr<Bytes>> live;
+  for (int i = 0; i < 3; ++i) live.push_back(pool.acquire());
+  EXPECT_EQ(pool.size(), 3u);
+  live.resize(1);  // two released
+  for (int i = 0; i < 2; ++i) live.push_back(pool.acquire());
+  EXPECT_EQ(pool.size(), 3u);  // reused, no growth
+  live.push_back(pool.acquire());
+  EXPECT_EQ(pool.size(), 4u);
+  // A buffer held by several owners stays out of circulation until the last
+  // one lets go.
+  std::shared_ptr<const Bytes> reader = live.back();
+  live.clear();
+  for (int i = 0; i < 3; ++i) live.push_back(pool.acquire());
+  EXPECT_EQ(pool.size(), 4u);
+  live.push_back(pool.acquire());
+  EXPECT_EQ(pool.size(), 5u);
+  for (const auto& b : live) EXPECT_NE(b.get(), reader.get());
+}
+
+TEST(BufferPool, BufferOutlivesPool) {
+  std::shared_ptr<Bytes> survivor;
+  {
+    BufferPool pool;
+    auto recycled = pool.acquire();
+    survivor = pool.acquire();
+    recycled.reset();  // parked on the free list when the pool dies
+  }
+  survivor->assign(64, 1);
+  EXPECT_EQ(survivor->size(), 64u);
+  survivor.reset();  // returns to a free list the pool no longer owns
+}
+
+TEST(BufferPool, BufferOutlivesContext) {
+  sim::Engine engine;
+  std::shared_ptr<const Bytes> held;
+  {
+    sim::Context ctx(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+    auto buf = ctx.pool().acquire();
+    buf->assign(16, 7);
+    held = std::move(buf);
+  }
+  EXPECT_EQ(held->size(), 16u);
+  held.reset();
 }
 
 }  // namespace
