@@ -1,11 +1,11 @@
 /// \file bench_wire_json.cpp
 /// Bytes-on-wire report for the ordering layers (DESIGN.md §12): runs the
-/// E6-style abcast workload and an E3-style generic-broadcast workload
-/// under both proposal wire formats and emits BENCH_wire.json with, per
-/// cell, the bytes the consensus tag actually carried per delivered
-/// message. The slim format keeps application payloads out of consensus
-/// proposals and GB resolution reports, so its consensus traffic should be
-/// independent of payload size — that is the claim this report measures.
+/// E6-style abcast workload and an E3-style generic-broadcast workload and
+/// emits BENCH_wire.json with, per cell, the bytes the consensus tag
+/// actually carried per delivered message. Application payloads stay out
+/// of consensus proposals and GB resolution reports, so consensus traffic
+/// should be independent of payload size — that is the claim this report
+/// measures.
 ///
 /// This translation unit replaces global operator new/delete with counting
 /// versions (same idiom as bench_e7_micro), which also powers the GB
@@ -84,10 +84,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counte
 namespace gcs::bench {
 namespace {
 
-const char* format_name(WireFormat f) {
-  return f == WireFormat::kSlim ? "slim" : "legacy";
-}
-
 Bytes sized_payload(int i, std::size_t bytes) {
   std::string s = "m" + std::to_string(i) + ":";
   s.resize(bytes, 'x');
@@ -100,12 +96,11 @@ std::int64_t sum_counter(World& world, int n, const std::string& name) {
   return total;
 }
 
-/// One measured (layer, n, payload, format) cell of the report.
+/// One measured (layer, n, payload) cell of the report.
 struct Cell {
   std::string layer;  // "abcast" or "gbcast"
   int n = 0;
   std::size_t payload_bytes = 0;
-  WireFormat format = WireFormat::kSlim;
   std::int64_t delivered = 0;            // deliveries summed over processes
   std::int64_t consensus_wire_bytes = 0; // what rides the consensus tag
   std::int64_t consensus_wire_msgs = 0;
@@ -132,19 +127,17 @@ constexpr Duration kGap = msec(1);
 /// E6-style abcast workload: every member sends in round-robin at a steady
 /// rate; the cell records what each wire tag carried until everyone
 /// delivered everything.
-Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
+Cell run_abcast_cell(int n, std::size_t payload_bytes) {
   Cell cell;
   cell.layer = "abcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
-  cell.format = format;
 
   World::Config config;
   config.n = n;
   config.seed = 101 + static_cast<std::uint64_t>(n);
-  config.stack.wire_format = format;
   World world(config);
-  OracleScope oracle(world, std::string("wire/abcast/") + format_name(format));
+  OracleScope oracle(world, "wire/abcast");
   std::vector<int> delivered(static_cast<std::size_t>(n), 0);
   for (ProcessId p = 0; p < n; ++p) {
     world.stack(p).on_adeliver([&delivered, p](const MsgId&, const Bytes&) {
@@ -183,19 +176,17 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
 
 /// E3-style gbcast workload with a 25% conflicting mix, so both the fast
 /// path and the resolution reports (which ride consensus) are on the wire.
-Cell run_gbcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
+Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
   Cell cell;
   cell.layer = "gbcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
-  cell.format = format;
 
   World::Config config;
   config.n = n;
   config.seed = 211 + static_cast<std::uint64_t>(n);
-  config.stack.wire_format = format;
   World world(config);
-  OracleScope oracle(world, std::string("wire/gbcast/") + format_name(format));
+  OracleScope oracle(world, "wire/gbcast");
   std::vector<int> delivered(static_cast<std::size_t>(n), 0);
   for (ProcessId p = 0; p < n; ++p) {
     world.stack(p).on_gdeliver([&delivered, p](const MsgId&, MsgClass, const Bytes&) {
@@ -254,7 +245,6 @@ FastPathCheck run_fastpath_alloc_check() {
   World::Config config;
   config.n = n;
   config.seed = 307;
-  config.stack.wire_format = WireFormat::kSlim;
   // Steady state needs the bounded-memory machinery running: stability
   // gossip prunes the rbcast dedup index, and the warm-up below pushes
   // more messages than GenericBroadcast's retired-payload cap so the
@@ -313,7 +303,6 @@ FastPathCheck run_telemetry_idle_alloc_check() {
   World::Config config;
   config.n = n;
   config.seed = 311;
-  config.stack.wire_format = WireFormat::kSlim;
   config.stack.stability_interval = msec(20);
   World world(config);
 
@@ -437,27 +426,23 @@ DeadPeerCell run_dead_peer_cell() {
 
 int run_suite(const std::string& json_path) {
   banner("wire path — bytes on the wire per delivered message",
-         "E6-style abcast and E3-style gbcast workloads under the slim\n"
-         "(id-only) and legacy (payload-inline) proposal formats; the\n"
-         "consensus column is the cost the slim format exists to cut");
+         "E6-style abcast and E3-style gbcast workloads with id-only\n"
+         "proposals and reports; the consensus column should not move\n"
+         "with the payload size");
 
   std::vector<Cell> cells;
   for (const int n : {3, 5, 7}) {
     for (const std::size_t payload : {std::size_t{64}, std::size_t{1024}, std::size_t{8192}}) {
-      for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-        cells.push_back(run_abcast_cell(n, payload, format));
-      }
+      cells.push_back(run_abcast_cell(n, payload));
     }
   }
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    cells.push_back(run_gbcast_cell(7, 1024, format));
-  }
+  cells.push_back(run_gbcast_cell(7, 1024));
 
-  Table table({"layer", "n", "payload", "format", "delivered", "consensus B/msg",
-               "flood B/msg", "pull B/msg"});
+  Table table({"layer", "n", "payload", "delivered", "consensus B/msg", "flood B/msg",
+               "pull B/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
-                   format_name(c.format), std::to_string(c.delivered),
+                   std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.pull_wire_bytes), 1)});
@@ -496,14 +481,14 @@ int run_suite(const std::string& json_path) {
     const Cell& c = cells[i];
     std::fprintf(
         out,
-        "    {\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu, \"format\": \"%s\",\n"
+        "    {\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu,\n"
         "     \"completed\": %s, \"delivered\": %lld,\n"
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
         "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
         "     \"net_allocs_per_delivered\": %s}%s\n",
-        c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
-        c.completed ? "true" : "false", static_cast<long long>(c.delivered),
+        c.layer.c_str(), c.n, c.payload_bytes, c.completed ? "true" : "false",
+        static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
         static_cast<long long>(c.consensus_wire_msgs),
         static_cast<long long>(c.flood_wire_bytes), static_cast<long long>(c.pull_wire_bytes),

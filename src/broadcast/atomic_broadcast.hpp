@@ -11,14 +11,14 @@
 ///               instance k is a batch, delivered in deterministic (MsgId)
 ///               order; then k+1 starts if work remains.
 ///
-/// Wire-path memory model (DESIGN.md §12): under the default slim format,
-/// proposals carry only (MsgId, subtag) tuples — payload bytes never ride
-/// inside consensus. Deliveries resolve payloads from the local store fed
-/// by rbcast flooding. A process that decides an instance without holding
-/// some payload (late join / restore mid-instance; FIFO channels make this
-/// impossible for continuously-present members) stalls that instance and
-/// runs a bounded pull/push exchange over the reliable channel
-/// (Tag::kAbcast) until the payloads arrive, then resumes in order.
+/// Wire-path memory model (DESIGN.md §12): proposals carry only (MsgId,
+/// subtag) tuples — payload bytes never ride inside consensus. Deliveries
+/// resolve payloads from the local store fed by rbcast flooding. A process
+/// that decides an instance without holding some payload (late join /
+/// restore mid-instance; FIFO channels make this impossible for
+/// continuously-present members) stalls that instance and runs a bounded
+/// pull/push exchange over the reliable channel (Tag::kAbcast) until the
+/// payloads arrive, then resumes in order.
 ///
 /// Dynamic membership (the membership layer lives ABOVE this component):
 /// view changes arrive as ordinary adelivered messages; set_members() takes
@@ -36,7 +36,6 @@
 #include <set>
 #include <vector>
 
-#include "broadcast/proposal.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/consensus.hpp"
 #include "consensus/consensus_protocol.hpp"
@@ -55,9 +54,6 @@ class AtomicBroadcast {
   using DeliverFn = std::function<void(const MsgId& id, const Bytes& payload)>;
 
   struct Config {
-    /// Proposal wire format. kSlim keeps payloads out of consensus;
-    /// kLegacy is the payload-inline baseline (benchmarks compare both).
-    WireFormat wire_format = WireFormat::kSlim;
     /// Retry period for the payload-pull fallback; each retry rotates to
     /// the next member, so one unresponsive target cannot stall a joiner.
     Duration pull_retry = msec(25);

@@ -359,16 +359,14 @@ void GenericBroadcast::trigger_resolution() {
                      std::to_string(store_.size()));
   }
   // Report = snapshot of our round: every message we know plus whether we
-  // ACKed it. Slim format carries ids and classes only; payloads resolve
-  // from local stores (the pull fallback covers the holdouts).
+  // ACKed it. It carries ids and classes only; payloads resolve from local
+  // stores (the pull fallback covers the holdouts).
   Encoder enc;
   enc.put_u64(round_);
-  enc.put_byte(static_cast<std::uint8_t>(config_.wire_format));
   enc.put_u64(store_.size());
   for (const auto& [id, stored] : store_) {
     enc.put_msgid(id);
     enc.put_byte(stored.cls);
-    if (config_.wire_format == WireFormat::kLegacy) enc.put_bytes(stored.payload);
     enc.put_bool(stored.acked);
   }
   abcast_.abcast(AtomicBroadcast::kGbResolve, enc.take());
@@ -378,24 +376,16 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
   Decoder dec(wire);
   const std::uint64_t r = dec.get_u64();
   if (!dec.ok() || r != round_) return;  // late report from a finished round
-  const std::uint8_t fmt = dec.get_byte();
-  if (!dec.ok() || fmt > static_cast<std::uint8_t>(WireFormat::kLegacy)) return;
-  const bool inline_payloads = fmt == static_cast<std::uint8_t>(WireFormat::kLegacy);
   const ProcessId reporter = report_id.sender;
   if (!reporters_.insert(reporter).second) return;  // one report per member
   const std::uint64_t count = dec.get_u64();
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
     const MsgClass cls = dec.get_byte();
-    BytesView payload;
-    if (inline_payloads) payload = dec.get_view();
     const bool acked = dec.get_bool();
     if (!dec.ok()) break;
     if (acked) ++report_ack_counts_[id];
     report_cls_.emplace(id, cls);
-    if (inline_payloads && !is_delivered(id) && !store_.count(id)) {
-      store_.emplace(id, Stored{cls, to_bytes(payload), sim::kNoTimer, 0});
-    }
   }
   // A report commits everyone to this round's resolution: contribute ours.
   if (!resolving_) trigger_resolution();
@@ -423,7 +413,7 @@ void GenericBroadcast::maybe_finalize_round() {
   // std::map iteration is MsgId-ordered already; keep the sort explicit.
   std::sort(first.begin(), first.end());
   std::sort(second.begin(), second.end());
-  // Slim reports carry no payloads: every undelivered message of the
+  // Reports carry no payloads: every undelivered message of the
   // sequence must be resolvable from the local store before the round can
   // finalize. Anything missing (late join, restore mid-resolution) stalls
   // the round locally and is pulled; pushes re-enter here.
@@ -557,8 +547,8 @@ void GenericBroadcast::restore(BytesView snapshot) {
   acked_cls_.fill(0);
   acks_.clear();
   // We may be the report that completes the quorum count after a member was
-  // excluded; harmless otherwise. Under the slim format this may also park
-  // the round on the pull path until donors push the missing payloads.
+  // excluded; harmless otherwise. This may also park the round on the pull
+  // path until donors push the missing payloads.
   maybe_finalize_round();
 }
 

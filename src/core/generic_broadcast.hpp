@@ -30,15 +30,13 @@
 ///   and delivers first, then second (each in MsgId order), skipping what
 ///   it already delivered. The round then ends and a new round starts.
 ///
-/// Wire-path memory model (DESIGN.md §12): under the default slim format a
-/// report carries (MsgId, class, acked) tuples only — payloads never ride
-/// through consensus. Each member resolves payloads from its local store
-/// (fed by the reliable-broadcast flood); a member that reaches the
-/// finalize point missing some payload stalls the round locally and runs a
-/// bounded pull/push exchange on Tag::kGbcast against rotating peers, which
-/// serve from their store or from a small window of recently retired
-/// (delivered) payloads. The legacy format (payloads inline in reports) is
-/// kept as the benchmark baseline.
+/// Wire-path memory model (DESIGN.md §12): a report carries (MsgId, class,
+/// acked) tuples only — payloads never ride through consensus. Each member
+/// resolves payloads from its local store (fed by the reliable-broadcast
+/// flood); a member that reaches the finalize point missing some payload
+/// stalls the round locally and runs a bounded pull/push exchange on
+/// Tag::kGbcast against rotating peers, which serve from their store or
+/// from a small window of recently retired (delivered) payloads.
 ///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
 ///   fast_quorum  = ⌊2n/3⌋ + 1     (> 2n/3)
@@ -61,7 +59,6 @@
 #include <vector>
 
 #include "broadcast/atomic_broadcast.hpp"
-#include "broadcast/proposal.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "channel/reliable_channel.hpp"
 #include "core/conflict.hpp"
@@ -78,9 +75,6 @@ class GenericBroadcast {
     /// A message not gdelivered within this bound triggers resolution even
     /// without an observed conflict (liveness when ackers crash).
     Duration resolve_timeout = msec(200);
-    /// Report wire format. kSlim keeps payloads out of the resolution path;
-    /// kLegacy is the payload-inline baseline (benchmarks compare both).
-    WireFormat wire_format = WireFormat::kSlim;
     /// Retry period for the payload-pull fallback; each retry rotates to
     /// the next member, so one unresponsive peer cannot stall the round.
     Duration pull_retry = msec(25);
@@ -119,9 +113,9 @@ class GenericBroadcast {
   /// simply declines pulls it cannot serve.
   Bytes snapshot() const;
 
-  /// Install a snapshot (joiner side). Under the slim format a snapshot
-  /// taken mid-resolution may reference payloads the donor no longer
-  /// inlines; the finalize step detects those and pulls them.
+  /// Install a snapshot (joiner side). A snapshot taken mid-resolution may
+  /// reference payloads the donor no longer holds; the finalize step
+  /// detects those and pulls them.
   void restore(BytesView snapshot);
 
   /// -- statistics (E3/E6 use these) ------------------------------------
@@ -247,7 +241,7 @@ class GenericBroadcast {
   std::set<ProcessId> reporters_;
   std::map<MsgId, int> report_ack_counts_;
   std::map<MsgId, MsgClass> report_cls_;
-  // Payloads the finalize step needs but the store lacks (slim format /
+  // Payloads the finalize step needs but the store lacks (late join /
   // restore); while non-empty the round stalls locally and pulls rotate.
   std::set<MsgId> missing_;
   std::size_t pull_rr_ = 0;

@@ -221,8 +221,8 @@ std::string number_segment(double v) {
 }
 
 /// Stable label for an array element: its "name", its identifying members
-/// (layer / n / payload_bytes / format, the wire-suite cell key), or the
-/// index as a last resort.
+/// (layer / n / payload_bytes / format / scenario; the wire-suite cell key
+/// is layer / n / payload_bytes), or the index as a last resort.
 std::string element_label(const JsonValue& v, std::size_t index) {
   if (v.type == JsonValue::Type::kObject) {
     if (const JsonValue* name = v.find("name");

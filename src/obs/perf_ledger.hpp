@@ -9,7 +9,7 @@
 /// prefixed by the suite name:
 ///
 ///   latency.scenarios.abcast_n5.end_to_end.mean_us = 1234.5
-///   wire.cells.abcast_n5_b256_slim.consensus_bytes_per_delivered = 18.2
+///   wire.cells.abcast_n5_b256.consensus_bytes_per_delivered = 18.2
 ///   kernel.results.timer_wheel.ns_per_event = 41.7
 ///
 /// Array elements are labeled by their "name" member when present, by

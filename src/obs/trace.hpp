@@ -181,15 +181,16 @@ struct Names {
   NameId consensus_propose_wait; ///< span at the coordinator/proposer:
                                  ///< quorum assembly before the phase-2
                                  ///< proposal goes out (CT: first estimate
-                                 ///< .. PROPOSE; Paxos: PREPARE .. ACCEPT)
+                                 ///< .. PROPOSE; Paxos records its ranged
+                                 ///< PREPARE .. epoch wait as a histogram)
   NameId consensus_accept_wait;  ///< span per in-flight instance at the
                                  ///< driver: ACCEPT/PROPOSE out .. local
                                  ///< decision (pipelined instances overlap);
                                  ///< arg = ballot/round
-  NameId paxos_prepare;          ///< instant: a (ranged or per-instance)
-                                 ///< PREPARE went out; absent after epoch
-                                 ///< start in a fault-free leader-stable run
-                                 ///< (the 1-RTT steady-state assert)
+  NameId paxos_prepare;          ///< instant: a ranged PREPARE went out;
+                                 ///< absent after epoch start in a
+                                 ///< fault-free run (the 1-RTT
+                                 ///< steady-state assert)
   // atomic broadcast (keyed by msg)
   NameId abcast_submit;      ///< instant at the abcast() caller
   NameId abcast_pending;     ///< span: rdelivered .. adelivered (per process)
@@ -197,8 +198,8 @@ struct Names {
                              ///< (batch-queue residence); end arg = instance
   NameId abcast_ordered;     ///< instant at adelivery; arg = deciding instance
   NameId abcast_pull_wait;   ///< span keyed by MsgId{kConsensusKey, k}: head
-                             ///< decision stalled on missing payloads (slim
-                             ///< format pull fallback); arg = missing count
+                             ///< decision stalled on missing payloads
+                             ///< (pull fallback); arg = missing count
   NameId abcast_gap_wait;    ///< span keyed by MsgId{kConsensusKey, k}: a
                              ///< decision arrived out of order and is
                              ///< buffered behind undecided earlier

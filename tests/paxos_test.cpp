@@ -6,6 +6,7 @@
 #include "consensus/paxos.hpp"
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -30,7 +31,7 @@ struct PaxosWorld {
   std::vector<ProcessId> all;
 
   explicit PaxosWorld(int n, sim::LinkModel link = {}, Duration suspect_timeout = msec(60),
-                      std::uint64_t seed = 1, PaxosConsensus::Config pconfig = {})
+                      std::uint64_t seed = 1)
       : network(engine, n, link, seed) {
     procs.resize(static_cast<std::size_t>(n));
     for (ProcessId p = 0; p < n; ++p) {
@@ -44,7 +45,7 @@ struct PaxosWorld {
       proc.fd = std::make_unique<FailureDetector>(*proc.ctx, *proc.transport);
       proc.fd_class = proc.fd->add_class(suspect_timeout);
       proc.paxos = std::make_unique<PaxosConsensus>(*proc.ctx, *proc.channel, *proc.fd,
-                                                    proc.fd_class, Tag::kConsensus, pconfig);
+                                                    proc.fd_class);
       proc.paxos->on_decide([&proc](std::uint64_t k, const Bytes& v) {
         ASSERT_EQ(proc.decisions.count(k), 0u) << "double decide";
         proc.decisions[k] = str_of(v);
@@ -208,24 +209,36 @@ TEST(Paxos, DuelingTakeoversConvergeWithBoundedChurn) {
   EXPECT_LE(epochs, 12);
 }
 
-// The classic per-instance mode stays available as the comparison baseline
-// and still pays phase 1 per ballot.
-TEST(Paxos, LegacyPerInstanceModeStillDecides) {
-  PaxosConsensus::Config legacy;
-  legacy.leader_stable = false;
-  PaxosWorld w(3, {}, msec(60), 1, legacy);
-  for (std::uint64_t k = 0; k < 3; ++k) {
+// A ranged PROMISE whose entry counts exceed the frame must be dropped
+// before anything is sized from them (reserve(2^62) would throw and abort
+// the process); the group keeps deciding afterwards.
+TEST(Paxos, HostileRangedPromiseCountIsDropped) {
+  constexpr std::uint8_t kRangedPromise = 8;
+  constexpr std::uint64_t kHostile = std::uint64_t{1} << 62;
+  PaxosWorld w(3);
+  for (const bool hostile_accepted : {true, false}) {
+    Encoder enc;
+    enc.put_byte(kRangedPromise);
+    enc.put_u64(0);  // floor
+    enc.put_i64(0);  // ballot
+    enc.put_u64(hostile_accepted ? kHostile : 0);  // accepted decrees
+    if (!hostile_accepted) enc.put_u64(kHostile);  // held decisions
+    enc.put_byte(0);
+    for (ProcessId p = 0; p < 3; ++p) {
+      if (p != 1) w.procs[1].channel->send(p, Tag::kConsensus, enc.bytes());
+    }
+  }
+  w.engine.run_until(msec(5));
+  for (std::uint64_t k = 0; k < 2; ++k) {
     for (ProcessId p = 0; p < 3; ++p) {
       w.procs[static_cast<std::size_t>(p)].paxos->propose(
           k, bytes_of("k" + std::to_string(k)), w.all);
     }
   }
-  ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] {
-    return w.all_alive_decided(0) && w.all_alive_decided(1) && w.all_alive_decided(2);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] {
+    return w.all_alive_decided(0) && w.all_alive_decided(1);
   }));
-  for (std::uint64_t k = 0; k < 3; ++k) EXPECT_EQ(w.agreed_value(k), "k" + std::to_string(k));
-  // Per-instance mode runs phase 1 (ballot 0 owner prepares every instance).
-  EXPECT_GT(w.procs[0].ctx->metrics().counter("paxos.prepares_sent"), 0);
+  for (std::uint64_t k = 0; k < 2; ++k) EXPECT_EQ(w.agreed_value(k), "k" + std::to_string(k));
 }
 
 TEST(Paxos, LossyNetworkTerminates) {

@@ -1,10 +1,10 @@
-/// Zero-copy wire path (DESIGN.md §12): slim id-only proposals, payload
-/// pull/push fallback, and slim-vs-legacy equivalence. These tests pin the
-/// behaviours the wire benchmarks rely on: a process that decides an
-/// instance without having rdelivered the payloads (a late joiner) pulls
-/// them over the channel and delivers byte-identically, both formats yield
-/// the same delivery semantics, and slim resolution keeps generic
-/// broadcast's conflict ordering intact.
+/// Zero-copy wire path (DESIGN.md §12): id-only proposals and reports, and
+/// the payload pull/push fallback. These tests pin the behaviours the wire
+/// benchmarks rely on: a process that decides an instance without having
+/// rdelivered the payloads (a late joiner) pulls them over the channel and
+/// delivers byte-identically, consensus traffic is independent of payload
+/// size, and id-only resolution keeps generic broadcast's conflict
+/// ordering intact.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -23,11 +23,10 @@ namespace {
 
 using test::bytes_of;
 
-World::Config cfg(int n, std::uint64_t seed, WireFormat format) {
+World::Config cfg(int n, std::uint64_t seed) {
   World::Config c;
   c.n = n;
   c.seed = seed;
-  c.stack.wire_format = format;
   return c;
 }
 
@@ -37,7 +36,7 @@ TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
   // installed — so the joiner decides those instances without ever having
   // rdelivered the messages. The only way it can deliver them is the
   // Tag::kAbcast pull/push fallback.
-  World w(cfg(4, 23, WireFormat::kSlim));
+  World w(cfg(4, 23));
   std::vector<test::DeliveryLog> logs(4);
   for (ProcessId p = 0; p < 4; ++p) {
     w.stack(p).on_adeliver([&logs, p](const MsgId& id, const Bytes& b) {
@@ -87,70 +86,60 @@ TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
   }
 }
 
-TEST(WireFormat, SlimAndLegacyDeliverTheSameMessages) {
-  // Identical workload under both formats: every process inside each world
-  // delivers the same total order, both worlds deliver the same message
-  // set byte-for-byte, and the slim format puts strictly fewer bytes
-  // through the consensus tag.
+TEST(WireFormat, PayloadBytesNeverEnterConsensus) {
+  // Identical workload and seed at two payload sizes: every process
+  // delivers the same total order with the same payload bytes, and the
+  // bytes through the consensus tag do not depend on the payload size.
   const int kN = 5;
   const int kMsgs = 40;
-  const std::string filler(512, 'x');
-  std::map<WireFormat, std::vector<test::DeliveryLog>> logs;
-  std::map<WireFormat, std::int64_t> consensus_bytes;
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    World w(cfg(kN, 29, format));
-    auto& l = logs[format];
-    l.resize(kN);
+  std::map<std::size_t, std::int64_t> consensus_bytes;
+  for (const std::size_t payload_size : {std::size_t{64}, std::size_t{8192}}) {
+    World w(cfg(kN, 29));
+    std::vector<test::DeliveryLog> logs(kN);
     for (ProcessId p = 0; p < kN; ++p) {
-      w.stack(p).on_adeliver([&l, p](const MsgId& id, const Bytes& b) {
-        l[static_cast<std::size_t>(p)].record(id, b);
+      w.stack(p).on_adeliver([&logs, p](const MsgId& id, const Bytes& b) {
+        logs[static_cast<std::size_t>(p)].record(id, b);
       });
     }
     w.found_group_all();
     for (int i = 0; i < kMsgs; ++i) {
-      w.stack(static_cast<ProcessId>(i % kN))
-          .abcast(bytes_of("m" + std::to_string(i) + ":" + filler));
+      std::string body = "m" + std::to_string(i) + ":";
+      body.resize(payload_size, 'x');
+      w.stack(static_cast<ProcessId>(i % kN)).abcast(bytes_of(body));
       if (i % 4 == 3) w.run_for(msec(10));
     }
     ASSERT_TRUE(test::run_until(w, sec(30), [&] {
-      for (const auto& log : l) {
+      for (const auto& log : logs) {
         if (log.size() < static_cast<std::size_t>(kMsgs)) return false;
       }
       return true;
     }));
     w.run_for(msec(200));
+    for (int p = 1; p < kN; ++p) {
+      EXPECT_EQ(logs[static_cast<std::size_t>(p)].order, logs[0].order);
+      EXPECT_EQ(logs[static_cast<std::size_t>(p)].payloads, logs[0].payloads);
+    }
+    ASSERT_EQ(logs[0].size(), static_cast<std::size_t>(kMsgs));
+    for (const std::string& payload : logs[0].payloads) {
+      EXPECT_EQ(payload.size(), payload_size);
+    }
     std::int64_t bytes = 0;
     for (ProcessId p = 0; p < kN; ++p) {
       bytes += w.stack(p).metrics().counter("consensus.wire_bytes");
     }
-    consensus_bytes[format] = bytes;
+    consensus_bytes[payload_size] = bytes;
   }
-
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    const auto& l = logs[format];
-    for (int p = 1; p < kN; ++p) {
-      EXPECT_EQ(l[static_cast<std::size_t>(p)].order, l[0].order);
-      EXPECT_EQ(l[static_cast<std::size_t>(p)].payloads, l[0].payloads);
-    }
-  }
-  // Cross-format: schedules may interleave differently, but the delivered
-  // (id → payload) mapping must be identical.
-  std::map<WireFormat, std::map<MsgId, std::string>> sets;
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    const auto& log = logs[format][0];
-    for (std::size_t i = 0; i < log.size(); ++i) sets[format][log.order[i]] = log.payloads[i];
-  }
-  EXPECT_EQ(sets[WireFormat::kSlim], sets[WireFormat::kLegacy]);
-  EXPECT_LT(consensus_bytes[WireFormat::kSlim], consensus_bytes[WireFormat::kLegacy])
-      << "slim proposals should shrink consensus wire traffic";
+  EXPECT_GT(consensus_bytes[64], 0);
+  EXPECT_EQ(consensus_bytes[64], consensus_bytes[8192])
+      << "payload bytes leaked into consensus traffic";
 }
 
 TEST(WireFormat, GbSlimResolutionOrdersConflictsConsistently) {
-  // Conflicting gbcasts forced through the resolution path under slim
+  // Conflicting gbcasts forced through the resolution path with id-only
   // reports: every process gdelivers the conflicting class in the same
   // order, with the payload bytes intact.
   const int kN = 3;
-  World w(cfg(kN, 31, WireFormat::kSlim));
+  World w(cfg(kN, 31));
   std::vector<test::DeliveryLog> logs(kN);
   for (ProcessId p = 0; p < kN; ++p) {
     w.stack(p).on_gdeliver([&logs, p](const MsgId& id, MsgClass, const Bytes& b) {
@@ -179,7 +168,7 @@ TEST(WireFormat, GbSlimResolutionOrdersConflictsConsistently) {
   for (ProcessId p = 0; p < kN; ++p) {
     resolved += w.stack(p).generic_broadcast().resolved_deliveries();
   }
-  EXPECT_GT(resolved, 0u) << "workload never exercised slim resolution reports";
+  EXPECT_GT(resolved, 0u) << "workload never exercised resolution reports";
   for (ProcessId p = 0; p < kN; ++p) {
     auto& log = logs[static_cast<std::size_t>(p)];
     EXPECT_EQ(log.size(), total) << "duplicate or lost gdelivery at p" << p;
