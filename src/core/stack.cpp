@@ -141,45 +141,38 @@ void GcsStack::attach_oracle(obs::Oracle& oracle) {
                   [o, self](ProcessId q) { o->on_restore(self, q, /*long_class=*/true); });
 }
 
-template <typename Sink>
-void GcsStack::attach_gauges(Sink& sink) {
+void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
   const ProcessId self = ctx_->self();
-  sink.add_gauge(self, "probe.channel.send_queue", [this] {
+  telemetry.register_process(self, ctx_->metrics_ptr(), recorder_.get());
+  telemetry.add_gauge(self, "probe.channel.send_queue", [this] {
     return static_cast<double>(channel_->total_send_queue());
   });
-  sink.add_gauge(self, "probe.rbcast.dedup", [this] {
+  telemetry.add_gauge(self, "probe.rbcast.dedup", [this] {
     return static_cast<double>(ab_rbcast_->dedup_size() + gb_rbcast_->dedup_size());
   });
-  sink.add_gauge(self, "probe.abcast.pending", [this] {
+  telemetry.add_gauge(self, "probe.abcast.pending", [this] {
     return static_cast<double>(abcast_->pending_count());
   });
-  sink.add_gauge(self, "probe.abcast.open", [this] {
+  telemetry.add_gauge(self, "probe.abcast.open", [this] {
     return static_cast<double>(abcast_->open_proposals());
   });
-  sink.add_gauge(self, "probe.consensus.open", [this] {
+  telemetry.add_gauge(self, "probe.consensus.open", [this] {
     return static_cast<double>(consensus_->open_instances());
   });
-  sink.add_gauge(self, "probe.gb.store", [this] {
+  telemetry.add_gauge(self, "probe.gb.store", [this] {
     return static_cast<double>(gbcast_->store_size());
   });
-  sink.add_gauge(self, "probe.gb.fast_ratio", [this] {
+  telemetry.add_gauge(self, "probe.gb.fast_ratio", [this] {
     const double total = static_cast<double>(gbcast_->fast_deliveries() +
                                              gbcast_->resolved_deliveries());
     return total == 0 ? 1.0 : static_cast<double>(gbcast_->fast_deliveries()) / total;
   });
-  sink.add_gauge(self, "probe.fd.suspected", [this] {
+  telemetry.add_gauge(self, "probe.fd.suspected", [this] {
     return static_cast<double>(fd_->suspected(consensus_fd_class_).size());
   });
-  sink.add_gauge(self, "probe.monitoring.votes", [this] {
+  telemetry.add_gauge(self, "probe.monitoring.votes", [this] {
     return static_cast<double>(monitoring_->open_votes());
   });
-}
-
-void GcsStack::attach_probes(obs::Probes& probes) { attach_gauges(probes); }
-
-void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
-  telemetry.register_process(ctx_->self(), ctx_->metrics_ptr(), recorder_.get());
-  attach_gauges(telemetry);
 }
 
 World::World(Config config)
@@ -209,12 +202,6 @@ void World::attach_oracle(obs::Oracle& oracle) {
         [rel](std::uint8_t a, std::uint8_t b) { return rel.conflicts(a, b); });
   }
   for (auto& s : stacks_) s->attach_oracle(oracle);
-}
-
-void World::enable_probes(obs::Probes& probes, Duration cadence) {
-  for (auto& s : stacks_) s->attach_probes(probes);
-  probe_timer_.start(engine_, cadence,
-                     [&probes](TimePoint now) { probes.sample(now); });
 }
 
 void World::enable_telemetry(obs::Telemetry& telemetry, Duration cadence) {

@@ -34,7 +34,6 @@
 #include "core/monitoring.hpp"
 #include "fd/failure_detector.hpp"
 #include "obs/oracle.hpp"
-#include "obs/probes.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/context.hpp"
@@ -148,26 +147,17 @@ class GcsStack {
   /// init_view()/join() so the founding events are observed too.
   void attach_oracle(obs::Oracle& oracle);
 
-  /// Register this process's state gauges (channel send queue, rbcast
-  /// dedup set, open consensus instances, GB fast-path ratio and working
-  /// set, FD suspicions, monitoring votes) with \p probes. The stack must
-  /// outlive the probe sampler.
-  void attach_probes(obs::Probes& probes);
-
   /// Register this process with the live-telemetry publisher: its Metrics
   /// registry (every interned counter/histogram including per-tag wire
-  /// accounting), the same gauge set attach_probes registers, and the
+  /// accounting), its `probe.*` state gauges (channel send queue, rbcast
+  /// dedup set, abcast backlog, open consensus instances, GB fast-path
+  /// ratio and working set, FD suspicions, monitoring votes), and the
   /// flight recorder (trace-ring health) when one is installed. The stack
   /// must outlive \p telemetry's publishing.
   void attach_telemetry(obs::Telemetry& telemetry);
 
  private:
   void wire(StackConfig config);
-  /// Register the canonical gauge set with any sink exposing
-  /// add_gauge(ProcessId, string_view, fn) — Probes and Telemetry stay in
-  /// lockstep by construction.
-  template <typename Sink>
-  void attach_gauges(Sink& sink);
 
   std::shared_ptr<obs::Recorder> recorder_;
   std::unique_ptr<sim::Context> ctx_;
@@ -216,10 +206,6 @@ class World {
   /// found_group()/join so founding views are observed.
   void attach_oracle(obs::Oracle& oracle);
 
-  /// Register every stack's gauges with \p probes and start sampling them
-  /// every \p cadence of virtual time. \p probes must outlive the World.
-  void enable_probes(obs::Probes& probes, Duration cadence);
-
   /// Register every stack with \p telemetry and publish snapshot frames
   /// every \p cadence of virtual time. \p telemetry must outlive the
   /// World. Sinks (watchdog, stream writers) are attached by the caller.
@@ -233,7 +219,6 @@ class World {
   sim::Engine engine_;
   sim::Network network_;
   std::vector<std::unique_ptr<GcsStack>> stacks_;
-  sim::PeriodicTimer probe_timer_;
   sim::PeriodicTimer telemetry_timer_;
 };
 

@@ -298,8 +298,9 @@ RunResult run_plan(const sim::FaultPlan& plan, const std::vector<std::uint32_t>&
   if (!oracle.violations().empty()) {
     result.first_violation = std::string(obs::property_name(oracle.violations().front().property));
   }
-  // Probes and metrics are omitted on purpose: the report must be a pure
-  // function of (plan, keep, options) so replay can compare bytes.
+  // Explorer runs publish no telemetry, so the report has no probe series,
+  // and it carries no metrics: it is the oracle's verdict alone, a pure
+  // function of (plan, keep, options) that replay compares byte for byte.
   result.report_json = obs::render_scenario_report(scenario_name(plan, keep), plan.seed,
                                                    oracle, nullptr, nullptr);
   result.violations_json = obs::render_violations_json(oracle);

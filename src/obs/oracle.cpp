@@ -288,6 +288,11 @@ void Oracle::on_view_install(ProcessId p, std::uint64_t view_id,
                              const std::vector<ProcessId>& members,
                              bool via_state_transfer) {
   ++stats_.view_installs;
+  // proc(q) below must not grow procs_ while pp (and the view_members it
+  // iterates) is held: size procs_ for every id the install can touch first.
+  ProcessId top = p;
+  for (ProcessId q : proc(p).view_members) top = std::max(top, q);
+  proc(top);
   PerProcess& pp = proc(p);
 
   // View agreement: id -> member list is a global function.

@@ -3,11 +3,13 @@
 /// property that makes every other test in this suite trustworthy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/stack.hpp"
 #include "replication/lock_service.hpp"
@@ -164,9 +166,11 @@ std::string run_report(std::uint64_t seed) {
   cfg.stack.monitoring.exclusion_timeout = msec(500);
   World w(cfg);
   obs::Oracle oracle;
+  obs::Telemetry telemetry;
   obs::Probes probes;
+  telemetry.add_sink([&probes](const obs::Snapshot& s, BytesView) { probes.record(s); });
   w.attach_oracle(oracle);
-  w.enable_probes(probes, msec(10));
+  w.enable_telemetry(telemetry, msec(10));
   w.found_group({0, 1, 2, 3});
   for (int i = 0; i < 12; ++i) {
     w.stack(static_cast<ProcessId>(i % 4)).abcast(bytes_of("a" + std::to_string(i)));
@@ -185,11 +189,37 @@ std::string run_report(std::uint64_t seed) {
                                      &w.stack(0).metrics());
 }
 
+/// Element counts of every JSON number array that follows \p key.
+std::vector<std::size_t> array_lengths(const std::string& json, const std::string& key) {
+  std::vector<std::size_t> lens;
+  for (std::size_t at = json.find(key); at != std::string::npos; at = json.find(key, at)) {
+    const std::size_t begin = at + key.size();
+    at = json.find(']', begin);
+    const auto commas = std::count(json.begin() + static_cast<std::ptrdiff_t>(begin),
+                                   json.begin() + static_cast<std::ptrdiff_t>(at), ',');
+    lens.push_back(at == begin ? 0 : static_cast<std::size_t>(commas) + 1);
+  }
+  return lens;
+}
+
 TEST(Determinism, ScenarioReportsAreByteIdentical) {
   const std::string a = run_report(57);
   const std::string b = run_report(57);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"passed\":true"), std::string::npos) << a;
+
+  // Same-seed identity cannot see a gauge pipeline that drops series on
+  // both runs alike: every process reports all 9 probe.* gauges, each with
+  // one value per retained timestamp.
+  const std::size_t from = a.find("\"probes\":{");
+  ASSERT_NE(from, std::string::npos);
+  const std::string probes = a.substr(from, a.find("\"metrics\":{") - from);
+  const std::vector<std::size_t> ticks = array_lengths(probes, "\"timestamps_us\":[");
+  ASSERT_EQ(ticks.size(), 1u);
+  EXPECT_GT(ticks[0], 0u);
+  const std::vector<std::size_t> series = array_lengths(probes, "\"values\":[");
+  EXPECT_EQ(series.size(), 5u * 9u);
+  for (std::size_t len : series) EXPECT_EQ(len, ticks[0]);
 }
 
 TEST(Determinism, ScenarioReportsDependOnSeed) {

@@ -1,6 +1,6 @@
 /// Live telemetry & watchdog tests.
 ///
-/// Three layers, mirroring the subsystem's guarantees:
+/// Four layers, mirroring the subsystem's guarantees:
 ///   1. frame codec — randomized Snapshot round-trips (including the
 ///      IEEE-754 bit-pattern encoding of doubles), strict-prefix rejection
 ///      fuzz in the style of codec_roundtrip_test.cpp, magic/version
@@ -9,7 +9,10 @@
 ///      each (stall, pull storm, fc saturation, view flap, queue growth)
 ///      and every test pins down that exactly its own rule fires, plus the
 ///      fire-once-per-episode / re-arm semantics;
-///   3. integration — a healthy simulated group publishes frames on a
+///   3. state probes — the gauge-series sink keeps one value per retained
+///      tick for every series, decimates by stride doubling below its cap,
+///      and is a pure function of the frames it is fed;
+///   4. integration — a healthy simulated group publishes frames on a
 ///      virtual-time cadence with zero alerts and a byte-identical stream
 ///      (and alert section) across same-seed runs; a planted majority
 ///      crash raises a delivery-stall alert within two cadences.
@@ -19,9 +22,11 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stack.hpp"
+#include "obs/probes.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -277,6 +282,83 @@ TEST(Telemetry, TraceRingHealthInFrames) {
   EXPECT_EQ(s.trace_capacity, 4u);
   EXPECT_EQ(s.trace_records, 4u);
   EXPECT_EQ(s.trace_dropped, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// state probes: the gauge-series sink
+
+/// Two processes with two gauges each, published into a Probes sink once
+/// per millisecond tick; gauge values encode (tick, process) so a value
+/// shows which tick it was sampled at.
+struct ProbeFeed {
+  Telemetry telemetry;
+  obs::Probes probes;
+  double tick = 0;
+
+  explicit ProbeFeed(std::size_t max_points) : probes(max_points) {
+    for (ProcessId p = 0; p < 2; ++p) {
+      telemetry.register_process(p, std::make_shared<Metrics>());
+      telemetry.add_gauge(p, "g.tick", [this, p] { return tick * 10 + p; });
+      telemetry.add_gauge(p, "g.half", [this] { return tick / 2; });
+    }
+    telemetry.add_sink([this](const Snapshot& s, BytesView) { probes.record(s); });
+  }
+
+  void publish(int t) {
+    tick = t;
+    telemetry.publish(msec(t));
+  }
+};
+
+TEST(Probes, DecimationKeepsEveryStrideThTickBelowTheCap) {
+  constexpr std::size_t kCap = 8;
+  ProbeFeed feed(kCap);
+  const obs::Probes& probes = feed.probes;
+  std::uint64_t stride = 1;
+  for (int t = 0; t < 100; ++t) {
+    feed.publish(t);
+    ASSERT_LT(probes.timestamps().size(), kCap) << "tick " << t;
+    ASSERT_TRUE(probes.stride() == stride || probes.stride() == 2 * stride) << "tick " << t;
+    stride = probes.stride();
+
+    ASSERT_EQ(probes.series().size(), 4u);
+    for (std::size_t i = 0; i < probes.timestamps().size(); ++i) {
+      const auto kept = static_cast<double>(i * stride);
+      ASSERT_EQ(probes.timestamps()[i], msec(static_cast<std::int64_t>(i * stride)));
+      for (const obs::Probes::Series& s : probes.series()) {
+        ASSERT_EQ(s.values.size(), probes.timestamps().size());
+        EXPECT_EQ(s.values[i], s.metric == "g.tick" ? kept * 10 + s.proc : kept / 2);
+      }
+    }
+  }
+  EXPECT_EQ(probes.samples_taken(), 100u);
+  // 100 ticks through a cap of 8: ticks 0, 16, ..., 96 remain.
+  EXPECT_EQ(stride, 16u);
+  EXPECT_EQ(probes.timestamps().size(), 7u);
+  // Frame order: process registration order, then gauge name.
+  const std::vector<std::pair<ProcessId, std::string>> order = {
+      {0, "g.half"}, {0, "g.tick"}, {1, "g.half"}, {1, "g.tick"}};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(probes.series()[i].proc, order[i].first);
+    EXPECT_EQ(probes.series()[i].metric, order[i].second);
+  }
+}
+
+TEST(Probes, IdenticalFeedsGiveIdenticalSeries) {
+  ProbeFeed a(16);
+  ProbeFeed b(16);
+  for (int t = 0; t < 300; ++t) {
+    a.publish(t);
+    b.publish(t);
+  }
+  EXPECT_EQ(a.probes.timestamps(), b.probes.timestamps());
+  EXPECT_EQ(a.probes.stride(), b.probes.stride());
+  ASSERT_EQ(a.probes.series().size(), b.probes.series().size());
+  for (std::size_t i = 0; i < a.probes.series().size(); ++i) {
+    EXPECT_EQ(a.probes.series()[i].proc, b.probes.series()[i].proc);
+    EXPECT_EQ(a.probes.series()[i].metric, b.probes.series()[i].metric);
+    EXPECT_EQ(a.probes.series()[i].values, b.probes.series()[i].values);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "obs/oracle.hpp"
 #include "obs/probes.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/types.hpp"
 
@@ -137,8 +138,9 @@ class FlightRecorder {
 ///   ... drive the scenario ...
 ///   // destructor: finalize() + EXPECT no violations + report emission
 ///
-/// Construction taps every stack (attach_oracle) and, by default, starts
-/// the state-probe sampler. Destruction finalizes the oracle, adds a test
+/// Construction taps every stack (attach_oracle) and, by default, publishes
+/// the stacks' telemetry every probe_cadence into the state probes (a
+/// Telemetry sink). Destruction finalizes the oracle, adds a test
 /// failure listing every violation if any property was violated, and — when
 /// NGGCS_REPORT_DIR is set — writes scenario_report_<test-name>.json.
 ///
@@ -151,8 +153,18 @@ class ScenarioOracle {
                           std::uint64_t seed = 0)
       : world_(&world), seed_(seed) {
     world.attach_oracle(oracle_);
-    if (probe_cadence > 0) world.enable_probes(probes_, probe_cadence);
+    if (probe_cadence > 0) {
+      telemetry_.add_sink([&probes = probes_](const obs::Snapshot& s, BytesView) {
+        probes.record(s);
+      });
+      world.enable_telemetry(telemetry_, probe_cadence);
+    }
   }
+
+  // The World's telemetry timer and the probes sink hold this object's
+  // address.
+  ScenarioOracle(const ScenarioOracle&) = delete;
+  ScenarioOracle& operator=(const ScenarioOracle&) = delete;
 
   ~ScenarioOracle() {
     if (!skip_finalize_) oracle_.finalize();
@@ -184,6 +196,7 @@ class ScenarioOracle {
  private:
   World* world_;
   obs::Oracle oracle_;
+  obs::Telemetry telemetry_;
   obs::Probes probes_;
   const Metrics* metrics_ = nullptr;
   const obs::Recorder* recorder_ = nullptr;
