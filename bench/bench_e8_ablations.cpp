@@ -59,13 +59,17 @@ FdQos fd_qos(Duration heartbeat, Duration timeout) {
 // --- (b) channel retransmission period --------------------------------------
 
 struct RtoResult {
-  Duration mean_latency = 0;
-  std::int64_t retransmits = 0;
+  double mean_latency = 0;  // µs
+  double retransmits = 0;
 };
 
-RtoResult channel_rto(Duration rto) {
+/// Seeds of the 30%-loss pattern (b) averages over: one seed's loss
+/// pattern moves a row by more than the rto choice does.
+constexpr std::uint64_t kRtoSeeds = 40;
+
+RtoResult channel_rto(Duration rto, std::uint64_t seed) {
   sim::Engine engine;
-  sim::Network network(engine, 2, sim::LinkModel{usec(300), usec(200), 0.30}, 13);
+  sim::Network network(engine, 2, sim::LinkModel{usec(300), usec(200), 0.30}, seed);
   sim::Context c0(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
   sim::Context c1(1, engine, Rng(2), Logger(), std::make_shared<Metrics>());
   SimTransport t0(c0, network), t1(c1, network);
@@ -91,9 +95,19 @@ RtoResult channel_rto(Duration rto) {
   }
   drive(engine, sec(120), [&] { return received >= kMsgs; });
   RtoResult r;
-  r.mean_latency = static_cast<Duration>(lat.mean());
-  r.retransmits = c0.metrics().counter("channel.retransmits");
+  r.mean_latency = lat.mean();
+  r.retransmits = static_cast<double>(c0.metrics().counter("channel.retransmits"));
   return r;
+}
+
+RtoResult channel_rto(Duration rto) {
+  RtoResult mean;
+  for (std::uint64_t seed = 1; seed <= kRtoSeeds; ++seed) {
+    const RtoResult r = channel_rto(rto, seed);
+    mean.mean_latency += r.mean_latency / kRtoSeeds;
+    mean.retransmits += r.retransmits / kRtoSeeds;
+  }
+  return mean;
 }
 
 // --- (c) abcast batching ------------------------------------------------------
@@ -369,11 +383,12 @@ int main(int argc, char** argv) {
   std::printf("    -> smaller timeouts detect faster but mis-fire more: exactly the\n"
               "       trade-off §4.3 exploits (the new stack makes mistakes cheap).\n");
 
-  std::printf("\n(b) reliable channel retransmission period — 30%% loss:\n\n");
+  std::printf("\n(b) reliable channel retransmission period — 30%% loss, mean of %d seeds:\n\n",
+              static_cast<int>(kRtoSeeds));
   Table rto_table({"rto (ms)", "mean latency (ms)", "retransmits / 300 msgs"});
   for (Duration rto : {msec(2), msec(5), msec(10), msec(20), msec(50)}) {
     const auto r = channel_rto(rto);
-    rto_table.add_row({fmt_ms(rto), fmt_ms(r.mean_latency), fmt_int(r.retransmits)});
+    rto_table.add_row({fmt_ms(rto), fmt_ms(r.mean_latency), fmt_double(r.retransmits, 1)});
   }
   rto_table.print();
 

@@ -5,7 +5,9 @@
 /// actually carried per delivered message. Application payloads stay out
 /// of consensus proposals and GB resolution reports, so consensus traffic
 /// should be independent of payload size — that is the claim this report
-/// measures.
+/// measures. Each cell also counts the standalone channel ack datagrams
+/// per delivery; the channel piggybacks acks on reverse traffic, so in
+/// these all-to-all workloads few are sent.
 ///
 /// This translation unit replaces global operator new/delete with counting
 /// versions (same idiom as bench_e7_micro), which also powers the GB
@@ -106,6 +108,7 @@ struct Cell {
   std::int64_t consensus_wire_msgs = 0;
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
+  std::int64_t acks = 0;                 // standalone channel ack datagrams
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
   bool completed = false;
 
@@ -170,6 +173,7 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes) {
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
+  cell.acks = sum_counter(world, n, "channel.acks");
   cell.net_allocs = (a1.allocs - a0.allocs) - (a1.frees - a0.frees);
   return cell;
 }
@@ -220,6 +224,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
+  cell.acks = sum_counter(world, n, "channel.acks");
   return cell;
 }
 
@@ -486,7 +491,7 @@ int run_suite(const std::string& json_path) {
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
         "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
-        "     \"net_allocs_per_delivered\": %s}%s\n",
+        "     \"acks_per_delivered\": %s, \"net_allocs_per_delivered\": %s}%s\n",
         c.layer.c_str(), c.n, c.payload_bytes, c.completed ? "true" : "false",
         static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
@@ -494,7 +499,8 @@ int run_suite(const std::string& json_path) {
         static_cast<long long>(c.flood_wire_bytes), static_cast<long long>(c.pull_wire_bytes),
         json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
         json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
-        json_num(c.allocs_per_delivered()).c_str(), i + 1 < cells.size() ? "," : "");
+        json_num(c.per_delivered(c.acks)).c_str(), json_num(c.allocs_per_delivered()).c_str(),
+        i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n  \"fastpath_alloc_check\": {\"layer\": \"gbcast\", \"deliveries\": %lld, "

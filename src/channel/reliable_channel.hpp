@@ -20,6 +20,18 @@
 /// shorter. A live peer on a lossy link keeps acking and so keeps the rto
 /// cadence; a crashed but not yet excluded one costs a bounded trickle.
 ///
+/// Ack policy, as TCP's: every data or batch frame ends with a trailer
+/// varint (cumulative_ack << 1) | ack_request, so traffic in the other
+/// direction carries the acks for free. A standalone ack datagram goes out
+///   - at once when a frame held a duplicate (an earlier ack was lost),
+///   - at once when the frame sets ack_request, which the sender does on
+///     retransmissions and on frames that fill the send window or drain
+///     what flow control held back (it is waiting on those acks),
+///   - otherwise rto/4 after the first in-order arrival no frame back to
+///     the sender has acked yet. While a gap holds messages back, the
+///     timer reports it every time it runs, so the sender does not read
+///     the receiver's silence as a dead peer.
+///
 /// The channel also exposes its output buffer age per peer: a message that
 /// stays unacknowledged for a long time is the basis for *output-triggered
 /// suspicion* (paper §3.3.2), consumed by the monitoring component.
@@ -97,7 +109,7 @@ class ReliableChannel {
   /// transmitted-but-unacked and flow-control-held alike (probe gauge).
   std::size_t total_send_queue() const {
     std::size_t n = 0;
-    for (const auto& [to, peer] : out_) {
+    for (const auto& [to, peer] : peers_) {
       (void)to;
       n += peer.unacked.size();
     }
@@ -116,43 +128,60 @@ class ReliableChannel {
     Payload payload;
     TimePoint first_sent;  // meaningful once the send cursor has passed it
   };
-  struct PeerOut {
+  struct Peer {
+    // -- output: messages to the peer
     std::uint64_t base = 0;         // seq of unacked.front()
     std::uint64_t next_unsent = 0;  // send cursor: first never-transmitted seq
     std::deque<Outgoing> unacked;   // seqs [base, base + size), in order
     TimePoint retransmit_at = 0;    // next retransmission round not before
-    TimePoint heard = 0;            // last ack from the peer
+    TimePoint heard = 0;            // last ack (standalone or trailer) from the peer
     bool flush_armed = false;       // batching timer pending
     bool fc_stalled = false;        // window full, sends held back
     TimePoint fc_since = 0;         // when the current stall began
+    // -- input: messages from the peer
+    std::uint64_t next_expected = 0;
+    std::uint64_t acked = 0;      // highest cumulative ack told to the peer
+    bool ack_owed = false;        // in-order progress the peer was not told
+    TimePoint ack_owed_since = 0; // first arrival of that progress
+    bool ack_armed = false;       // delayed-ack timer pending
+    std::map<std::uint64_t, std::pair<Tag, Bytes>> holdback;  // out-of-order
 
     std::uint64_t next_seq() const { return base + unacked.size(); }
     /// Transmitted, unacked messages: the window flow control bounds.
     std::size_t in_flight() const { return static_cast<std::size_t>(next_unsent - base); }
     std::size_t queued() const { return static_cast<std::size_t>(next_seq() - next_unsent); }
   };
-  struct PeerIn {
-    std::uint64_t next_expected = 0;
-    std::map<std::uint64_t, std::pair<Tag, Bytes>> holdback;  // out-of-order
-  };
 
   void on_datagram(ProcessId from, BytesView payload);
   void deliver(ProcessId from, Tag upper, BytesView payload);
-  void send_ack(ProcessId to, std::uint64_t cumulative);
+  /// A cumulative ack from \p from (kAck frame or trailer): pops what it
+  /// covers, clamped to the send cursor, and refills the window.
+  void on_ack(ProcessId from, Peer& peer, std::uint64_t cumulative);
+  void send_ack(ProcessId to, Peer& peer);
+  /// Delayed ack: one pending timer per peer, due rto/4 after the first
+  /// arrival the peer has not been told about (or, with only a gap to
+  /// report, rto/4 from now).
+  void arm_ack(ProcessId to, Peer& peer);
   void account_upper(Tag upper, std::size_t wire_bytes);
   /// How many messages from unacked[first] on (at most \p max) fit in one
   /// kMaxFrame datagram; at least one.
-  static std::size_t frame_fit(const PeerOut& peer, std::size_t first, std::size_t max);
-  /// Emit unacked[first, first + count) to \p to as one datagram.
-  void transmit(ProcessId to, const PeerOut& peer, std::size_t first, std::size_t count);
+  static std::size_t frame_fit(const Peer& peer, std::size_t first, std::size_t max);
+  /// Emit unacked[first, first + count) to \p to as one datagram, with the
+  /// cumulative ack for the peer's messages in its trailer.
+  void transmit(ProcessId to, Peer& peer, std::size_t first, std::size_t count,
+                bool ack_request);
+  /// Whether a frame ending at unacked[end - 1] fills the send window.
+  bool fills_window(std::size_t end) const {
+    return config_.send_window > 0 && end >= config_.send_window;
+  }
   /// Move the send cursor over every message the window admits, stamping
   /// them sent; returns how many it admitted.
-  std::size_t admit(PeerOut& peer);
-  void pump(ProcessId to, PeerOut& peer);  // flow control: fill the window
-  void flush(ProcessId to);                // batching: emit the packed datagrams
+  std::size_t admit(Peer& peer);
+  void pump(ProcessId to, Peer& peer);  // flow control: fill the window
+  void flush(ProcessId to);             // batching: emit the packed datagrams
   // Flow-control stall edge detection: opens/closes the channel.fc_stall
   // span and feeds the stall-duration histogram.
-  void update_fc_stall(ProcessId to, PeerOut& peer);
+  void update_fc_stall(ProcessId to, Peer& peer);
   void arm_retransmit_timer();
   void retransmit_tick();
 
@@ -166,6 +195,7 @@ class ReliableChannel {
   MetricId m_delivered_;
   MetricId m_retransmits_;
   MetricId m_retransmit_bytes_;
+  MetricId m_acks_;       ///< standalone ack datagrams
   MetricId h_residence_;  ///< first transmit -> cumulative ack (time-in-channel)
   MetricId h_fc_stall_;   ///< send-window stall duration per peer
   // Per-upper-tag wire accounting ("<upper>.wire_bytes" / "<upper>.wire_msgs"):
@@ -173,8 +203,7 @@ class ReliableChannel {
   // (re)transmit time so retransmissions are included.
   std::array<MetricId, static_cast<std::size_t>(Tag::kMax)> m_up_wire_bytes_;
   std::array<MetricId, static_cast<std::size_t>(Tag::kMax)> m_up_wire_msgs_;
-  std::map<ProcessId, PeerOut> out_;
-  std::map<ProcessId, PeerIn> in_;
+  std::map<ProcessId, Peer> peers_;
   std::vector<Handler> handlers_;
   bool timer_armed_ = false;
   std::int64_t datagrams_sent_ = 0;

@@ -50,18 +50,10 @@ std::string_view metric_name(MetricId id) {
   return id < r.names.size() ? r.names[id] : std::string_view{};
 }
 
-void Histogram::sort() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
 void Histogram::decimate() {
   // Uniform thinning: keep every other retained sample and double the keep
   // stride, so memory stays O(cap) while the retained set still covers the
-  // whole run. (If a query sorted samples_ in the meantime, this thins the
-  // sorted array — equally uniform, still deterministic per run.)
+  // whole run.
   std::size_t w = 0;
   for (std::size_t r = 0; r < samples_.size(); r += 2, ++w) samples_[w] = samples_[r];
   samples_.resize(w);
@@ -70,15 +62,19 @@ void Histogram::decimate() {
 
 Duration Histogram::percentile(double q) const {
   if (samples_.empty()) return min();
-  sort();
   if (q <= 0) return min();   // exact even when decimated
   if (q >= 100) return max();
+  if (!sorted_valid_) {
+    sorted_.assign(samples_.begin(), samples_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    sorted_valid_ = true;
+  }
   // Nearest-rank: the smallest sample such that at least q% of samples are
   // <= it. rank is 1-based; the old formula interpolated against n-1 and
   // could land one slot low on small sample counts.
   const auto rank = static_cast<std::size_t>(
-      std::ceil(q / 100.0 * static_cast<double>(samples_.size())));
-  return samples_[std::min(rank == 0 ? 0 : rank - 1, samples_.size() - 1)];
+      std::ceil(q / 100.0 * static_cast<double>(sorted_.size())));
+  return sorted_[std::min(rank == 0 ? 0 : rank - 1, sorted_.size() - 1)];
 }
 
 std::map<std::string, std::int64_t> Metrics::counters() const {

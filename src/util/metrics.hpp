@@ -64,7 +64,7 @@ class Histogram {
     sum_ += static_cast<double>(sample);
     if (total_count_++ % stride_ == 0) {
       samples_.push_back(sample);
-      sorted_ = false;
+      sorted_valid_ = false;
       if (cap_ > 1 && samples_.size() >= cap_) decimate();
     }
   }
@@ -83,7 +83,7 @@ class Histogram {
   /// q = 0 returns the exact minimum, q = 100 the exact maximum.
   Duration percentile(double q) const;
 
-  /// Retained (possibly decimated) samples.
+  /// Retained (possibly decimated) samples, in insertion order.
   const std::vector<Duration>& samples() const { return samples_; }
 
   /// Bound on retained samples; shrinking below the current retained count
@@ -99,16 +99,18 @@ class Histogram {
     stride_ = 1;
     sum_ = 0.0;
     min_ = max_ = 0;
-    sorted_ = false;
+    sorted_.clear();
+    sorted_valid_ = false;
   }
 
  private:
   void decimate();
-  void sort() const;
 
-  // Sorted lazily on query.
-  mutable std::vector<Duration> samples_;
-  mutable bool sorted_ = false;
+  std::vector<Duration> samples_;  // retained samples, insertion order
+  // Sorted copy of samples_, made lazily on query; reading a percentile
+  // never changes which samples a later decimate() keeps.
+  mutable std::vector<Duration> sorted_;
+  mutable bool sorted_valid_ = false;
   std::size_t cap_ = kDefaultSampleCap;
   std::size_t stride_ = 1;      // retain every stride-th add()
   std::size_t total_count_ = 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -289,11 +290,201 @@ TEST(ReliableChannel, LossyLivePeerKeepsRtoCadence) {
     EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second,
               test::str_of(kib_payload(i)));
   }
-  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 419);
-  EXPECT_EQ(watch.retransmit_frames, 15);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 496);
+  EXPECT_EQ(watch.retransmit_frames, 17);
   // One retransmission round per tick at most, ticks one rto apart.
   EXPECT_EQ(static_cast<std::int64_t>(watch.retransmit_times.size()), watch.retransmit_frames);
   for (TimePoint t : watch.retransmit_times) EXPECT_EQ(t % msec(20), 0) << t;
+}
+
+/// Mean channel.retransmits (both ends summed) over 40 seeds of 300 x 1 KiB
+/// at 1/ms across 30%-loss links, from 0 to 1 only or both ways.
+double mean_lossy_retransmits(bool two_way) {
+  constexpr int kSeeds = 40;
+  constexpr int kMsgs = 300;
+  std::int64_t total = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    ChannelWorld w(2, sim::LinkModel{usec(300), usec(200), 0.30}, {}, seed);
+    send_kib_every_ms(w, kMsgs);
+    if (two_way) {
+      for (int i = 0; i < kMsgs; ++i) {
+        w.engine.schedule_at(i * msec(1), [&w, i] {
+          w.procs[1].channel->send(0, Tag::kApp, kib_payload(i));
+        });
+      }
+    }
+    const auto want0 = static_cast<std::size_t>(two_way ? kMsgs : 0);
+    const bool done = test::run_until(w.engine, sec(30), [&] {
+      return w.procs[1].received.size() == static_cast<std::size_t>(kMsgs) &&
+             w.procs[0].received.size() == want0;
+    });
+    EXPECT_TRUE(done) << "seed " << seed;
+    for (auto& proc : w.procs) total += proc.ctx->metrics().counter("channel.retransmits");
+  }
+  return static_cast<double>(total) / kSeeds;
+}
+
+TEST(ReliableChannel, LossyLinksRetransmitNoMoreThanPerFrameAcks) {
+  // The bounds are the means of a channel that acked every frame with its
+  // own datagram (same seeds and harness): fewer acks must not cost
+  // retransmissions.
+  EXPECT_LE(mean_lossy_retransmits(false), 420.125);
+  EXPECT_LE(mean_lossy_retransmits(true), 799.95);
+}
+
+TEST(ReliableChannel, TwoWayTrafficPiggybacksEveryAck) {
+  // Each side sends 1 KiB every ms: every ack rides on a reverse frame, so
+  // no standalone ack leaves while traffic flows; one closes each direction.
+  ChannelWorld w(2, sim::LinkModel{usec(200), usec(100), 0.0});
+  constexpr int kMsgs = 200;
+  for (int i = 0; i < kMsgs; ++i) {
+    w.engine.schedule_at(i * msec(1), [&w, i] {
+      w.procs[0].channel->send(1, Tag::kApp, kib_payload(i));
+      w.procs[1].channel->send(0, Tag::kApp, kib_payload(i));
+    });
+  }
+  w.engine.run_until(kMsgs * msec(1));
+  for (auto& proc : w.procs) EXPECT_EQ(proc.ctx->metrics().counter("channel.acks"), 0);
+  w.engine.run_until(kMsgs * msec(1) + msec(50));
+  for (ProcessId p = 0; p < 2; ++p) {
+    auto& proc = w.procs[static_cast<std::size_t>(p)];
+    EXPECT_EQ(proc.received.size(), static_cast<std::size_t>(kMsgs));
+    EXPECT_EQ(proc.channel->unacked_count(1 - p), 0u);
+    EXPECT_EQ(proc.ctx->metrics().counter("channel.acks"), 1);
+    EXPECT_EQ(proc.ctx->metrics().counter("channel.retransmits"), 0);
+  }
+}
+
+TEST(ReliableChannel, OneWayTrickleIsAckedAfterQuarterRto) {
+  // One message every 50 ms and nothing flowing back: each is acked by a
+  // delayed ack rto/4 after it lands, long before the sender's rto.
+  constexpr Duration kDelay = usec(300);
+  const Duration rto = ReliableChannel::Config{}.rto;
+  ChannelWorld w(2, sim::LinkModel{kDelay, 0, 0.0});
+  constexpr int kMsgs = 10;
+  for (int i = 0; i < kMsgs; ++i) {
+    w.engine.schedule_at(i * msec(50), [&w] { w.procs[0].channel->send(1, Tag::kApp, bytes_of("m")); });
+  }
+  w.engine.run_until(kMsgs * msec(50));
+  EXPECT_EQ(w.procs[1].received.size(), static_cast<std::size_t>(kMsgs));
+  const Histogram& residence = w.procs[0].ctx->metrics().histogram("channel.residence_us");
+  EXPECT_EQ(residence.count(), static_cast<std::size_t>(kMsgs));
+  EXPECT_EQ(residence.max(), kDelay + rto / 4 + kDelay);
+  EXPECT_EQ(w.procs[1].ctx->metrics().counter("channel.acks"), kMsgs);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 0);
+}
+
+TEST(ReliableChannel, LostAckIsRepeatedAtOnceOnTheDuplicate) {
+  constexpr Duration kDelay = usec(300);
+  ChannelWorld w(2, sim::LinkModel{kDelay, 0, 0.0});
+  Bytes first_frame;
+  w.network.set_tap([&](ProcessId f, ProcessId, const Bytes& d) {
+    if (f == 0 && first_frame.empty()) first_frame = d;
+  });
+  w.network.set_link(1, 0, sim::LinkModel{kDelay, 0, 1.0});  // the delayed ack is lost
+  w.procs[0].channel->send(1, Tag::kApp, bytes_of("x"));
+  w.engine.run_until(msec(10));
+  EXPECT_EQ(w.procs[1].received.size(), 1u);
+  EXPECT_EQ(w.procs[1].ctx->metrics().counter("channel.acks"), 1);
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 1u);
+
+  // The same frame again, without an ack request: the receiver sees a
+  // duplicate and acks at once instead of after rto/4.
+  w.network.set_link(1, 0, sim::LinkModel{kDelay, 0, 0.0});
+  w.network.send(0, 1, first_frame);
+  w.engine.run_until(msec(10) + 2 * kDelay);
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 0u);
+  EXPECT_EQ(w.procs[1].ctx->metrics().counter("channel.acks"), 2);
+  EXPECT_EQ(w.procs[1].received.size(), 1u);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 0);
+}
+
+/// A channel frame as a datagram: the transport tag, then \p body.
+Bytes channel_frame(const std::function<void(Encoder&)>& body) {
+  Encoder enc;
+  enc.put_byte(static_cast<std::uint8_t>(Tag::kChannel));
+  body(enc);
+  return enc.take();
+}
+
+TEST(ReliableChannel, AckBeyondSendCursorNeverDropsUnsentMessages) {
+  ReliableChannel::Config cfg;
+  cfg.send_window = 2;
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  auto& ch = *w.procs[0].channel;
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 1.0});
+  for (int i = 0; i < 5; ++i) ch.send(1, Tag::kApp, bytes_of("m" + std::to_string(i)));
+  EXPECT_EQ(ch.queued_by_flow_control(1), 3u);
+
+  // A data frame whose trailer claims seqs below 1000: only the two
+  // transmitted messages go; the window refills from the queue.
+  w.network.send(1, 0, channel_frame([](Encoder& e) {
+    e.put_byte(0);  // kData
+    e.put_u64(0);
+    e.put_byte(static_cast<std::uint8_t>(Tag::kApp));
+    e.put_bytes(bytes_of("hi"));
+    e.put_u64(std::uint64_t{1000} << 1);
+  }));
+  w.engine.run_until(msec(1));
+  EXPECT_EQ(w.procs[0].received.size(), 1u);
+  EXPECT_EQ(ch.unacked_count(1), 3u);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 1u);
+
+  // A standalone ack claiming as much does the same.
+  w.network.send(1, 0, channel_frame([](Encoder& e) {
+    e.put_byte(1);  // kAck
+    e.put_u64(1000);
+  }));
+  w.engine.run_until(msec(2));
+  EXPECT_EQ(ch.unacked_count(1), 1u);
+  EXPECT_EQ(ch.queued_by_flow_control(1), 0u);
+}
+
+TEST(ReliableChannel, StrictPrefixesOfFramesNeitherDeliverNorAck) {
+  // Real frames from 1 to 0, one data and one batch, whose trailers ack
+  // 0's first two messages.
+  ReliableChannel::Config batching;
+  batching.batch_delay = msec(1);
+  std::vector<Bytes> frames;
+  {
+    ChannelWorld a(2, sim::LinkModel{usec(200), 0, 0.0}, batching);
+    a.network.set_tap([&](ProcessId f, ProcessId, const Bytes& d) {
+      if (f == 1 && d.size() > 1 && d[1] != 1) frames.push_back(d);  // not kAck
+    });
+    a.procs[0].channel->send(1, Tag::kApp, bytes_of("a0"));
+    a.procs[0].channel->send(1, Tag::kApp, bytes_of("a1"));
+    a.engine.run_until(msec(2));
+    a.procs[1].channel->send(0, Tag::kApp, bytes_of("d"));
+    a.engine.run_until(msec(4));
+    a.procs[1].channel->send(0, Tag::kApp, bytes_of("b1"));
+    a.procs[1].channel->send(0, Tag::kApp, bytes_of("b2"));
+    a.engine.run_until(msec(6));
+  }
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0][1], 0);  // kData
+  EXPECT_EQ(frames[1][1], 2);  // kBatch
+
+  // 0 has two messages to 1 outstanding (1 never hears them, so it stays
+  // silent); every strict prefix of either frame is dropped whole.
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0});
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 1.0});
+  w.procs[0].channel->send(1, Tag::kApp, bytes_of("a0"));
+  w.procs[0].channel->send(1, Tag::kApp, bytes_of("a1"));
+  for (const Bytes& frame : frames) {
+    for (std::size_t len = 1; len < frame.size(); ++len) {
+      w.network.send(1, 0, Bytes(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len)));
+    }
+  }
+  w.engine.run_until(msec(5));
+  EXPECT_TRUE(w.procs[0].received.empty());
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 2u);
+
+  // The whole frames deliver all three messages and the ack.
+  for (const Bytes& frame : frames) w.network.send(1, 0, frame);
+  w.engine.run_until(msec(10));
+  ASSERT_EQ(w.procs[0].received.size(), 3u);
+  EXPECT_EQ(w.procs[0].received[2].second, "b2");
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 0u);
 }
 
 TEST(ReliableChannel, SendCursorWithFlowControlAndForget) {

@@ -140,6 +140,7 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
     frame.put_u64(10'000 + len);
     frame.put_byte(static_cast<std::uint8_t>(Tag::kConsensus));
     frame.put_bytes(truncated);
+    frame.put_u64(0);  // ack trailer: nothing acked, no ack request
     Bytes wire = frame.take();
     wire.insert(wire.begin(), static_cast<std::uint8_t>(Tag::kChannel));
     w.network().send(1, 0, std::move(wire));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
@@ -9,6 +11,28 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+
+// -- counting allocator -------------------------------------------------------
+// Global operator new replacement for this test binary: counts calls, so
+// the buffer pool test can assert a warm pool allocates nothing.
+
+namespace {
+std::size_t g_allocs = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace gcs {
 namespace {
@@ -311,6 +335,23 @@ TEST(Histogram, InterleavedAddAndQuery) {
   EXPECT_EQ(h.max(), 10);
 }
 
+TEST(Histogram, PercentileReadsDoNotChangeDecimation) {
+  // Decimation keeps every other sample in insertion order; reading a
+  // percentile in between must not reorder what it thins.
+  Histogram quiet;
+  Histogram polled;
+  quiet.set_sample_cap(8);
+  polled.set_sample_cap(8);
+  for (int i = 0; i < 40; ++i) {
+    const Duration v = (i * 37) % 101;
+    quiet.add(v);
+    polled.add(v);
+    if (i % 5 == 4) polled.percentile(50);
+  }
+  EXPECT_EQ(polled.samples(), quiet.samples());
+  EXPECT_EQ(polled.percentile(50), quiet.percentile(50));
+}
+
 TEST(Metrics, CountersAndHistograms) {
   Metrics m;
   m.inc("a");
@@ -420,6 +461,28 @@ TEST(BufferPool, SizeIsHighWaterOfLiveBuffers) {
   live.push_back(pool.acquire());
   EXPECT_EQ(pool.size(), 5u);
   for (const auto& b : live) EXPECT_NE(b.get(), reader.get());
+}
+
+TEST(BufferPool, WarmPoolAllocatesNothing) {
+  // Buffers, their capacity and the shared_ptr control blocks are all
+  // recycled: after one warm-up round, acquire/fill/release cycles make no
+  // heap allocation.
+  BufferPool pool;
+  std::vector<std::shared_ptr<Bytes>> live;
+  live.reserve(8);
+  const auto cycle = [&] {
+    for (int i = 0; i < 8; ++i) {
+      live.push_back(pool.acquire());
+      live.back()->assign(100, 1);
+    }
+    std::shared_ptr<const Bytes> reader = live.front();  // a second owner
+    live.clear();
+  };
+  cycle();
+  const std::size_t before = g_allocs;
+  for (int i = 0; i < 100; ++i) cycle();
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(pool.size(), 8u);
 }
 
 TEST(BufferPool, BufferOutlivesPool) {
