@@ -7,7 +7,10 @@
 /// should be independent of payload size — that is the claim this report
 /// measures. Each cell also counts the standalone channel ack datagrams
 /// per delivery; the channel piggybacks acks on reverse traffic, so in
-/// these all-to-all workloads few are sent.
+/// these all-to-all workloads few are sent. And it records what one
+/// consensus instance costs: messages per decided instance and rounds per
+/// started instance (a fault-free instance runs one round of <= 4n
+/// messages).
 ///
 /// This translation unit replaces global operator new/delete with counting
 /// versions (same idiom as bench_e7_micro), which also powers the GB
@@ -109,6 +112,9 @@ struct Cell {
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
   std::int64_t acks = 0;                 // standalone channel ack datagrams
+  std::int64_t instances = 0;            // consensus instances decided
+  std::int64_t rounds = 0;               // rounds entered, summed over processes
+  std::int64_t started = 0;              // instances started, likewise
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
   bool completed = false;
 
@@ -118,6 +124,14 @@ struct Cell {
   std::int64_t total_wire_bytes() const {
     return consensus_wire_bytes + flood_wire_bytes + pull_wire_bytes;
   }
+  double msgs_per_instance() const {
+    return instances > 0 ? static_cast<double>(consensus_wire_msgs) /
+                               static_cast<double>(instances)
+                         : 0.0;
+  }
+  double rounds_per_instance() const {
+    return started > 0 ? static_cast<double>(rounds) / static_cast<double>(started) : 0.0;
+  }
   double allocs_per_delivered() const {
     return delivered > 0 ? static_cast<double>(net_allocs) / static_cast<double>(delivered)
                          : 0.0;
@@ -126,6 +140,15 @@ struct Cell {
 
 constexpr int kMsgs = 150;
 constexpr Duration kGap = msec(1);
+
+void count_consensus(World& world, int n, Cell& cell) {
+  cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
+  cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
+  // Every member decides every instance once.
+  cell.instances = sum_counter(world, n, "consensus.decided") / n;
+  cell.rounds = sum_counter(world, n, "consensus.rounds");
+  cell.started = sum_counter(world, n, "consensus.instances_started");
+}
 
 /// E6-style abcast workload: every member sends in round-robin at a steady
 /// rate; the cell records what each wire tag carried until everyone
@@ -169,8 +192,7 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes) {
   const AllocSnapshot a1 = alloc_snapshot();
 
   cell.delivered = sum_counter(world, n, "abcast.delivered");
-  cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
-  cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
+  count_consensus(world, n, cell);
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
   cell.acks = sum_counter(world, n, "channel.acks");
@@ -220,8 +242,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
 
   cell.delivered = sum_counter(world, n, "gbcast.fast_delivered") +
                    sum_counter(world, n, "gbcast.resolved_delivered");
-  cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
-  cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
+  count_consensus(world, n, cell);
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
   cell.acks = sum_counter(world, n, "channel.acks");
@@ -444,13 +465,14 @@ int run_suite(const std::string& json_path) {
   cells.push_back(run_gbcast_cell(7, 1024));
 
   Table table({"layer", "n", "payload", "delivered", "consensus B/msg", "flood B/msg",
-               "pull B/msg"});
+               "pull B/msg", "cons msgs/inst", "rounds/inst"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
                    std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
-                   fmt_double(c.per_delivered(c.pull_wire_bytes), 1)});
+                   fmt_double(c.per_delivered(c.pull_wire_bytes), 1),
+                   fmt_double(c.msgs_per_instance(), 1), fmt_double(c.rounds_per_instance(), 2)});
   }
   table.print();
 
@@ -491,7 +513,8 @@ int run_suite(const std::string& json_path) {
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
         "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
-        "     \"acks_per_delivered\": %s, \"net_allocs_per_delivered\": %s}%s\n",
+        "     \"acks_per_delivered\": %s, \"net_allocs_per_delivered\": %s,\n"
+        "     \"consensus_msgs_per_instance\": %s, \"rounds_per_instance\": %s}%s\n",
         c.layer.c_str(), c.n, c.payload_bytes, c.completed ? "true" : "false",
         static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
@@ -500,6 +523,7 @@ int run_suite(const std::string& json_path) {
         json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
         json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
         json_num(c.per_delivered(c.acks)).c_str(), json_num(c.allocs_per_delivered()).c_str(),
+        json_num(c.msgs_per_instance()).c_str(), json_num(c.rounds_per_instance()).c_str(),
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out,

@@ -51,10 +51,12 @@ AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
     ++gc_steps_;
     auto it = adelivered_.find(sender);
     if (it == adelivered_.end()) return;
-    auto& seqs = it->second;
-    const auto end = seqs.lower_bound(upto);
-    gc_steps_ += static_cast<std::uint64_t>(std::distance(seqs.begin(), end));
-    seqs.erase(seqs.begin(), end);
+    Delivered& d = it->second;
+    d.floor = std::max(d.floor, upto);
+    while (!d.above.empty() && *d.above.begin() < upto) {
+      ++gc_steps_;
+      spare_seqs_.erase(d.above, d.above.begin());
+    }
   });
 }
 
@@ -75,13 +77,23 @@ bool AtomicBroadcast::is_member() const {
   return std::find(members_.begin(), members_.end(), ctx_.self()) != members_.end();
 }
 
+bool AtomicBroadcast::Delivered::add(std::uint64_t seq, SeqSpares& spares) {
+  if (seq != below) return seq > below && spares.insert(above, seq);
+  ++below;
+  while (!above.empty() && *above.begin() == below) {
+    spares.erase(above, above.begin());
+    ++below;
+  }
+  return true;
+}
+
 bool AtomicBroadcast::is_adelivered(const MsgId& id) const {
   auto it = adelivered_.find(id.sender);
-  return it != adelivered_.end() && it->second.count(id.seq) > 0;
+  return it != adelivered_.end() && it->second.contains(id.seq);
 }
 
 bool AtomicBroadcast::mark_adelivered(const MsgId& id) {
-  return adelivered_[id.sender].insert(id.seq).second;
+  return adelivered_[id.sender].add(id.seq, spare_seqs_);
 }
 
 MsgId AtomicBroadcast::abcast(SubTag subtag, Payload payload) {
@@ -113,11 +125,15 @@ Bytes AtomicBroadcast::snapshot() const {
   Encoder enc;
   enc.put_vector(members_, [](Encoder& e, ProcessId p) { e.put_i32(p); });
   enc.put_u64(next_instance_);
+  // Every delivered id not pruned as stable, as a list.
   std::uint64_t count = 0;
-  for (const auto& [sender, seqs] : adelivered_) count += seqs.size();
+  for (const auto& [sender, d] : adelivered_) {
+    count += (d.below > d.floor ? d.below - d.floor : 0) + d.above.size();
+  }
   enc.put_u64(count);
-  for (const auto& [sender, seqs] : adelivered_) {
-    for (const std::uint64_t seq : seqs) enc.put_msgid(MsgId{sender, seq});
+  for (const auto& [sender, d] : adelivered_) {
+    for (std::uint64_t seq = d.floor; seq < d.below; ++seq) enc.put_msgid(MsgId{sender, seq});
+    for (const std::uint64_t seq : d.above) enc.put_msgid(MsgId{sender, seq});
   }
   enc.put_bytes(rbcast_.stability_snapshot());
   return enc.take();
@@ -128,10 +144,10 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   auto members = dec.get_vector<ProcessId>([](Decoder& d) { return d.get_i32(); });
   const std::uint64_t next = dec.get_u64();
   const std::uint64_t count = dec.get_u64();
-  std::map<ProcessId, std::set<std::uint64_t>> delivered;
+  std::map<ProcessId, Delivered> delivered;
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
-    delivered[id.sender].insert(id.seq);
+    delivered[id.sender].add(id.seq, spare_seqs_);
   }
   const BytesView stability = dec.get_view();
   if (!dec.ok()) return;
@@ -234,7 +250,8 @@ void AtomicBroadcast::try_start_instances() {
     // (id, subtag) tuples — O(batch · ~16B) regardless of payload size;
     // payloads are resolved at delivery from store_.
     const std::uint64_t k = next_proposal_k_;
-    BatchProposal prop;
+    BatchProposal& prop = batch_scratch_;
+    prop.entries.clear();
     for (auto& [id, meta] : pending_) {
       if (meta.proposed_in != kNotProposed) continue;
       if (cur_batch_ != 0 && prop.entries.size() >= cur_batch_) break;
@@ -253,9 +270,12 @@ void AtomicBroadcast::try_start_instances() {
     next_proposal_k_ = k + 1;
     max_open_ = std::max(max_open_, static_cast<std::uint32_t>(next_proposal_k_ -
                                                                std::min(next_instance_, k)));
-    Encoder enc;
+    // Sized once for the worst-case varints: the value is one allocation.
+    Bytes value;
+    value.reserve(10 + 16 * prop.entries.size());
+    Encoder enc(value);
     prop.encode(enc);
-    consensus_.propose(k, enc.take(), members_);
+    consensus_.propose(k, std::move(value), members_);
     // propose() can decide inline (an already-decided instance replays its
     // callbacks), advancing next_instance_; the loop re-reads the window.
   }
@@ -264,7 +284,11 @@ void AtomicBroadcast::try_start_instances() {
 
 void AtomicBroadcast::on_decide(std::uint64_t k, const Bytes& value) {
   if (k >= next_instance_) {
-    const bool inserted = decision_buffer_.emplace(k, value).second;
+    const bool inserted = decision_buffer_.count(k) == 0;
+    if (inserted) {
+      Bytes& slot = spare_decisions_.emplace(decision_buffer_, k)->second;
+      slot.assign(value.begin(), value.end());
+    }
     if (inserted && k > next_instance_ && !gap_since_.count(k)) {
       // Out-of-order decision: parked behind an undecided earlier instance.
       gap_since_.emplace(k, ctx_.now());
@@ -276,6 +300,12 @@ void AtomicBroadcast::on_decide(std::uint64_t k, const Bytes& value) {
 }
 
 void AtomicBroadcast::process_decisions() {
+  // Not re-entrant: a delivery upcall can decide the next instance inline
+  // (an abcast from the upcall rdelivers locally, proposes, and replays an
+  // already-decided instance). The running loop below picks that decision
+  // up once the current instance is fully delivered.
+  if (processing_) return;
+  processing_ = true;
   // Drop any stale decisions (re-delivered duplicates) so they cannot block
   // the in-order processing loop below, closing their gap spans if open.
   decision_buffer_.erase(decision_buffer_.begin(),
@@ -291,7 +321,8 @@ void AtomicBroadcast::process_decisions() {
   while (!decision_buffer_.empty() && decision_buffer_.begin()->first == next_instance_) {
     // Peek — the head decision stays buffered while payloads are missing.
     Decoder dec(decision_buffer_.begin()->second);
-    BatchProposal prop = BatchProposal::decode(dec);
+    BatchProposal& prop = decided_scratch_;  // safe: not re-entrant
+    BatchProposal::decode(dec, prop);
     if (!dec.ok()) prop.entries.clear();  // corrupt decision: deliver nothing
     missing_.clear();
     for (const ProposalEntry& e : prop.entries) {
@@ -310,6 +341,7 @@ void AtomicBroadcast::process_decisions() {
                          static_cast<std::int64_t>(missing_.size()));
       }
       request_pull();
+      processing_ = false;
       return;
     }
     if (pull_stalled_) {
@@ -318,7 +350,7 @@ void AtomicBroadcast::process_decisions() {
       ctx_.trace_end(obs::Names::get().abcast_pull_wait,
                      MsgId{obs::kConsensusKey, next_instance_});
     }
-    decision_buffer_.erase(decision_buffer_.begin());
+    spare_decisions_.erase(decision_buffer_, decision_buffer_.begin());
     if (auto git = gap_since_.find(next_instance_); git != gap_since_.end()) {
       // This decision waited out of order behind a now-closed gap.
       ctx_.metrics().observe(h_gap_wait_, ctx_.now() - git->second);
@@ -369,9 +401,11 @@ void AtomicBroadcast::process_decisions() {
       delivered_log_.pop_front();
     }
   }
-  // Old decision values are dead weight; keep a small tail for stragglers'
-  // DECIDE echoes, then let consensus forget them. (Forgetting never
-  // touches the open pipeline window: it sits at >= next_instance_.)
+  processing_ = false;
+  // Old decision values are dead weight; keep a small tail so consensus can
+  // still answer stragglers with the DECIDE, then let it forget them.
+  // (Forgetting never touches the open pipeline window: it sits at >=
+  // next_instance_.)
   if (next_instance_ > 16) consensus_.forget_below(next_instance_ - 16);
   try_start_instances();
 }

@@ -36,10 +36,12 @@
 #include <set>
 #include <vector>
 
+#include "broadcast/proposal.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/consensus.hpp"
 #include "consensus/consensus_protocol.hpp"
 #include "sim/context.hpp"
+#include "util/spare_nodes.hpp"
 
 namespace gcs {
 
@@ -222,6 +224,7 @@ class AtomicBroadcast {
   std::uint32_t max_open_ = 0;    // high-water open-window occupancy
   bool window_saturated_ = false; // hit the depth gate since the last tick
   bool proposing_ = false;        // re-entrancy guard (propose can decide inline)
+  bool processing_ = false;       // re-entrancy guard (delivery can decide inline)
   bool fc_retry_armed_ = false;   // timer to re-try proposals after an fc stall
   bool control_armed_ = false;    // adaptive tick scheduled
   // Controller interval bookkeeping: last-seen histogram totals.
@@ -231,11 +234,32 @@ class AtomicBroadcast {
   double ctl_rtt_sum_ = 0;
   std::map<MsgId, PendingMeta> pending_;  // rdelivered, not yet ordered
   std::map<MsgId, Stored> store_;         // payloads for delivery + pull serving
-  // Adelivered dedup, indexed per sender so the stability GC erases the
-  // stable prefix instead of scanning the whole set (satellite fix).
-  std::map<ProcessId, std::set<std::uint64_t>> adelivered_;
+  using SeqSpares = SpareNodes<std::set<std::uint64_t>>;
+  /// Adelivered ids of one sender: every seq below `below`, and the ones
+  /// above it delivered out of seq order. Senders' messages are mostly
+  /// ordered in seq order, so `above` stays small and the index does not
+  /// grow with the run. Ids below `floor` were pruned as stable and are
+  /// left out of snapshots.
+  struct Delivered {
+    std::uint64_t floor = 0;
+    std::uint64_t below = 0;
+    std::set<std::uint64_t> above;
+
+    bool contains(std::uint64_t seq) const { return seq < below || above.count(seq) != 0; }
+    /// Record \p seq; false if it was already there.
+    bool add(std::uint64_t seq, SeqSpares& spares);
+  };
+  // Adelivered dedup, indexed per sender so the stability GC touches only
+  // that sender's entries.
+  std::map<ProcessId, Delivered> adelivered_;
   std::uint64_t gc_steps_ = 0;
   std::map<std::uint64_t, Bytes> decision_buffer_;  // out-of-order decisions
+  // Nodes reused so steady ordering allocates no per-instance decision
+  // slot and no entry for an out-of-order delivery.
+  SeqSpares spare_seqs_{256};
+  SpareNodes<std::map<std::uint64_t, Bytes>> spare_decisions_{64};
+  BatchProposal batch_scratch_;    // try_start_instances' batch, capacity reused
+  BatchProposal decided_scratch_;  // process_decisions' head decision, likewise
   // Instances whose decision is parked behind an undecided gap (pipelining
   // out-of-order arrivals): k -> when it was buffered, for the gap_wait
   // span/metric closed when k finally processes in order.

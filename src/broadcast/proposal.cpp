@@ -12,21 +12,26 @@ void BatchProposal::encode(Encoder& enc) const {
 
 BatchProposal BatchProposal::decode(Decoder& dec) {
   BatchProposal batch;
+  decode(dec, batch);
+  return batch;
+}
+
+void BatchProposal::decode(Decoder& dec, BatchProposal& out) {
+  out.entries.clear();
   const std::uint64_t count = dec.get_u64();
   // Hostile-length guard: every entry costs at least 3 wire bytes.
   if (count > dec.remaining()) {
     dec.invalidate();
-    return batch;
+    return;
   }
-  batch.entries.reserve(static_cast<std::size_t>(count));
+  out.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     ProposalEntry e;
     e.id = dec.get_msgid();
     e.subtag = dec.get_byte();
-    batch.entries.push_back(e);
+    out.entries.push_back(e);
   }
-  if (!dec.ok()) batch.entries.clear();
-  return batch;
+  if (!dec.ok()) out.entries.clear();
 }
 
 }  // namespace gcs

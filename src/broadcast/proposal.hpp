@@ -33,6 +33,8 @@ struct BatchProposal {
   /// Hardened: fails the decoder on hostile entry counts and truncation;
   /// returns an empty batch in that case.
   static BatchProposal decode(Decoder& dec);
+  /// decode() into \p out, reusing its capacity.
+  static void decode(Decoder& dec, BatchProposal& out);
 
   friend bool operator==(const BatchProposal&, const BatchProposal&) = default;
 };

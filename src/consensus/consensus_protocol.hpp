@@ -27,7 +27,8 @@ class ConsensusProtocol {
   virtual ~ConsensusProtocol() = default;
 
   /// Propose \p value for instance \p k among \p members (self included).
-  virtual void propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) = 0;
+  virtual void propose(std::uint64_t k, Bytes value,
+                       const std::vector<ProcessId>& members) = 0;
 
   /// Decision callback; fired exactly once per instance per subscriber.
   virtual void on_decide(DecideFn fn) = 0;

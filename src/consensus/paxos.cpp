@@ -107,7 +107,8 @@ void PaxosConsensus::adopt_epoch_members(std::uint64_t k,
   }
 }
 
-void PaxosConsensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) {
+void PaxosConsensus::propose(std::uint64_t k, Bytes value,
+                             const std::vector<ProcessId>& members) {
   assert(!members.empty());
   if (auto it = decisions_.find(k); it != decisions_.end()) {
     for (const auto& fn : decide_fns_) fn(k, it->second);

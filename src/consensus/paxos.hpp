@@ -64,7 +64,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   PaxosConsensus(sim::Context& ctx, ReliableChannel& channel, FailureDetector& fd,
                  FailureDetector::ClassId fd_class, Tag tag, Config config);
 
-  void propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) override;
+  void propose(std::uint64_t k, Bytes value, const std::vector<ProcessId>& members) override;
   void on_decide(DecideFn fn) override { decide_fns_.push_back(std::move(fn)); }
   bool decided(std::uint64_t k) const override { return decisions_.count(k) != 0; }
   std::int64_t instances_decided() const override { return decided_count_; }

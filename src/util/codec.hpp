@@ -103,16 +103,23 @@ class Decoder {
   /// Decode a vector given a per-element decode function.
   template <typename T, typename Fn>
   std::vector<T> get_vector(Fn&& decode_elem) {
-    std::uint64_t n = get_u64();
     std::vector<T> out;
+    get_vector_into(out, decode_elem);
+    return out;
+  }
+
+  /// get_vector into \p out (cleared first), reusing its capacity.
+  template <typename T, typename Fn>
+  void get_vector_into(std::vector<T>& out, Fn&& decode_elem) {
+    out.clear();
+    std::uint64_t n = get_u64();
     // Guard against hostile lengths: each element needs at least one byte.
     if (n > remaining()) {
       fail();
-      return out;
+      return;
     }
     out.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n && ok(); ++i) out.push_back(decode_elem(*this));
-    return out;
   }
 
   bool ok() const { return !failed_; }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
 
 #include "broadcast/atomic_broadcast.hpp"
+#include "broadcast/proposal.hpp"
 #include "tests/test_util.hpp"
 
 namespace gcs {
@@ -228,6 +231,68 @@ TEST(AtomicBroadcast, SnapshotRestoreBringsJoinerInSync) {
   }
   // ...and new messages are totally ordered at the old members.
   EXPECT_TRUE(consistent_prefix(w.procs[0].log.order, w.procs[1].log.order));
+}
+
+/// Consensus whose decisions the test scripts: propose() only records the
+/// value and runs the test's hook, which may decide inline the way a real
+/// implementation replays an already-decided instance.
+class ScriptedConsensus final : public ConsensusProtocol {
+ public:
+  std::function<void(std::uint64_t, const Bytes&)> on_propose;
+
+  void propose(std::uint64_t k, Bytes value, const std::vector<ProcessId>&) override {
+    if (on_propose) on_propose(k, value);
+  }
+  void on_decide(DecideFn fn) override { fns_.push_back(std::move(fn)); }
+  bool decided(std::uint64_t k) const override { return decided_.count(k) != 0; }
+  std::int64_t instances_decided() const override {
+    return static_cast<std::int64_t>(decided_.size());
+  }
+  std::int64_t open_instances() const override { return 0; }
+  void forget_below(std::uint64_t) override {}
+
+  void decide(std::uint64_t k, const std::vector<MsgId>& ids) {
+    BatchProposal prop;
+    for (const MsgId& id : ids) prop.entries.push_back(ProposalEntry{id, AtomicBroadcast::kApp});
+    Encoder enc;
+    prop.encode(enc);
+    const Bytes value = enc.take();
+    decided_.insert(k);
+    for (const auto& fn : fns_) fn(k, value);
+  }
+
+ private:
+  std::vector<DecideFn> fns_;
+  std::set<std::uint64_t> decided_;
+};
+
+TEST(AtomicBroadcast, DeliveryUpcallDecidingNextInstanceKeepsInstanceOrder) {
+  // Instance 0 orders {a, b}. Delivering a, the application abcasts c; the
+  // local rdelivery proposes instance 1, which decides {c} inline. c must
+  // still come after b: instance 1 waits until instance 0 is delivered.
+  sim::Engine engine;
+  sim::Network network(engine, 1, {}, 1);
+  sim::Context ctx(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  SimTransport transport(ctx, network);
+  ReliableChannel channel(ctx, transport);
+  ReliableBroadcast rbcast(ctx, channel, Tag::kRbcast);
+  ScriptedConsensus consensus;
+  AtomicBroadcast abcast(ctx, rbcast, consensus);
+  abcast.init({0});
+  std::vector<std::string> order;
+  MsgId c;
+  abcast.subscribe(AtomicBroadcast::kApp, [&](const MsgId&, const Bytes& b) {
+    order.push_back(test::str_of(b));
+    if (order.size() == 1) c = abcast.abcast(AtomicBroadcast::kApp, bytes_of("c"));
+  });
+  const MsgId a = abcast.abcast(AtomicBroadcast::kApp, bytes_of("a"));
+  const MsgId b = abcast.abcast(AtomicBroadcast::kApp, bytes_of("b"));
+  consensus.on_propose = [&](std::uint64_t k, const Bytes&) {
+    if (k == 1) consensus.decide(1, {MsgId{0, b.seq + 1}});  // c, not yet returned
+  };
+  consensus.decide(0, {a, b});
+  EXPECT_EQ(c, (MsgId{0, b.seq + 1}));
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
 }
 
 }  // namespace

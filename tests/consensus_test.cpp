@@ -5,6 +5,7 @@
 
 #include "consensus/consensus.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -63,6 +64,13 @@ struct ConsensusWorld {
       if (!procs[static_cast<std::size_t>(p)].decisions.count(k)) return false;
     }
     return true;
+  }
+
+  /// A counter summed over every process.
+  std::int64_t total(const std::string& counter) {
+    std::int64_t sum = 0;
+    for (auto& proc : procs) sum += proc.ctx->metrics().counter(counter);
+    return sum;
   }
 
   /// Agreement: all deciders of k decided the same value; returns it.
@@ -199,6 +207,117 @@ TEST(Consensus, LossyNetworkStillTerminates) {
   }
   ASSERT_TRUE(test::run_until(w.engine, sec(30), [&] { return w.all_alive_decided(0); }));
   w.agreed_value(0);
+}
+
+TEST(Consensus, FaultFreeInstanceUsesOneRoundAndAtMost4nMessages) {
+  // Every member proposes: the estimates, one PROPOSE, one ACK and one
+  // DECIDE per member, and nobody goes past round 0.
+  for (const int n : {3, 5, 7}) {
+    ConsensusWorld w(n);
+    for (ProcessId p = 0; p < n; ++p) {
+      w.procs[static_cast<std::size_t>(p)].consensus->propose(
+          0, bytes_of("v" + std::to_string(p)), w.all);
+    }
+    ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+    w.engine.run_until(w.engine.now() + msec(100));  // nothing more may follow
+    EXPECT_EQ(w.agreed_value(0), "v0") << "n=" << n;
+    EXPECT_EQ(w.total("consensus.rounds"), n) << "n=" << n;
+    EXPECT_EQ(w.total("consensus.instances_started"), n) << "n=" << n;
+    EXPECT_LE(w.total("consensus.wire_msgs"), 4 * n) << "n=" << n;
+  }
+}
+
+TEST(Consensus, LoneNonCoordinatorProposerWithIdleCoordinatorDecides) {
+  // c(0) = p0 never proposes: p3's estimate carries the member list, and
+  // p0 proposes it in round 0 without an ANNOUNCE.
+  ConsensusWorld w(5);
+  w.procs[3].consensus->propose(0, bytes_of("lone"), w.all);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  EXPECT_EQ(w.agreed_value(0), "lone");
+  EXPECT_EQ(w.total("consensus.rounds"), 1);
+  EXPECT_LE(w.total("consensus.wire_msgs"), 4 * 5);
+}
+
+TEST(Consensus, CoordinatorCrashAfterDecideReachedOneMember) {
+  // c(0) = p0 decides; its DECIDE reaches one member, then p0 crashes and
+  // the copies to everyone else are lost. The ACKers leave round 0 on
+  // suspicion, and the one decider answers or relays the DECIDE.
+  ConsensusWorld w(5);
+  for (ProcessId p = 0; p < 5; ++p) {
+    w.procs[static_cast<std::size_t>(p)].consensus->propose(
+        0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  ProcessId lucky = kNoProcess;
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] {
+    for (ProcessId p = 1; p < 5; ++p) {
+      if (w.procs[static_cast<std::size_t>(p)].decisions.count(0)) lucky = p;
+    }
+    return lucky != kNoProcess;
+  }));
+  w.network.partition({{0}, {1, 2, 3, 4}});  // drops p0's DECIDEs in flight
+  w.crash(0);
+  for (ProcessId p = 1; p < 5; ++p) {
+    if (p != lucky) {
+      EXPECT_FALSE(w.procs[static_cast<std::size_t>(p)].decisions.count(0));
+    }
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] { return w.all_alive_decided(0); }));
+  EXPECT_EQ(w.agreed_value(0), "v0");
+}
+
+TEST(Consensus, MinorityFalselySuspectingCorrectCoordinatorTerminates) {
+  // p3 and p4 suspect the correct c(0) = p0, before or after they ACK.
+  // Their NACKs reach everyone, so no ACKer waits behind p0 for a quorum
+  // that can no longer form, and the instance terminates.
+  for (const Duration at : {usec(0), usec(250), usec(500), usec(900)}) {
+    ConsensusWorld w(5);
+    for (ProcessId p = 0; p < 5; ++p) {
+      w.procs[static_cast<std::size_t>(p)].consensus->propose(
+          0, bytes_of("v" + std::to_string(p)), w.all);
+    }
+    w.engine.run_until(at);
+    for (const ProcessId p : {3, 4}) {
+      auto& proc = w.procs[static_cast<std::size_t>(p)];
+      proc.fd->inject_suspicion(proc.fd_class, 0);
+    }
+    ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] { return w.all_alive_decided(0); }))
+        << "suspicion at " << at << " us";
+    w.agreed_value(0);
+  }
+}
+
+TEST(Consensus, LateMessagesForForgottenInstanceRestartNothing) {
+  ConsensusWorld w(3);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    for (ProcessId p = 0; p < 3; ++p) {
+      w.procs[static_cast<std::size_t>(p)].consensus->propose(k, bytes_of("x"), w.all);
+    }
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(3); }));
+  w.engine.run_until(w.engine.now() + msec(100));
+  auto& proc = w.procs[2];
+  proc.consensus->forget_below(4);
+  const std::int64_t sent = proc.ctx->metrics().counter("consensus.wire_msgs");
+  const std::int64_t started = proc.ctx->metrics().counter("consensus.instances_started");
+  Encoder announce;
+  announce.put_byte(5);  // ANNOUNCE k=2, members, value
+  announce.put_u64(2);
+  announce.put_vector(w.all, [](Encoder& e, ProcessId p) { e.put_i32(p); });
+  announce.put_bytes(bytes_of("late"));
+  proc.consensus->on_message(0, announce.bytes());
+  Encoder estimate;
+  estimate.put_byte(0);  // ESTIMATE k=3, r=2 (c(2) = p2), ts=1, members, value
+  estimate.put_u64(3);
+  estimate.put_i64(2);
+  estimate.put_i64(1);
+  estimate.put_vector(w.all, [](Encoder& e, ProcessId p) { e.put_i32(p); });
+  estimate.put_bytes(bytes_of("late"));
+  proc.consensus->on_message(1, estimate.bytes());
+  proc.consensus->propose(1, bytes_of("late"), w.all);
+  w.engine.run_until(w.engine.now() + msec(100));
+  EXPECT_EQ(proc.consensus->open_instances(), 0);
+  EXPECT_EQ(proc.ctx->metrics().counter("consensus.instances_started"), started);
+  EXPECT_EQ(proc.ctx->metrics().counter("consensus.wire_msgs"), sent);
 }
 
 /// Property sweep: agreement + validity + termination over random seeds,

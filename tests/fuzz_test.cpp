@@ -3,6 +3,11 @@
 /// a healthy group — a malformed datagram is (at worst) silently dropped.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "consensus/consensus.hpp"
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
 #include "util/codec.hpp"
@@ -116,37 +121,69 @@ TEST(Fuzz, MalformedChannelFramesAreDropped) {
 }
 
 TEST(Fuzz, TruncatedRealMessagesAreDropped) {
-  // Take REAL encoded protocol messages, truncate them at every length,
-  // and replay: decoders must reject every prefix quietly.
-  Encoder enc;
-  enc.put_byte(0);  // consensus kEstimate
-  enc.put_u64(7);
-  enc.put_i64(3);
-  enc.put_i64(2);
-  enc.put_bytes(bytes_of("estimate-payload"));
-  const Bytes full = enc.take();
-  World::Config cfg;
-  cfg.n = 3;
-  cfg.seed = 31;
-  World w(cfg);
-  std::size_t delivered = 0;
-  w.stack(0).on_adeliver([&](const MsgId&, const Bytes&) { ++delivered; });
-  w.found_group_all();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    Bytes truncated(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
-    // Wrap as a channel DATA frame the way a peer would send it.
-    Encoder frame;
-    frame.put_byte(0);  // channel kData
-    frame.put_u64(10'000 + len);
-    frame.put_byte(static_cast<std::uint8_t>(Tag::kConsensus));
-    frame.put_bytes(truncated);
-    frame.put_u64(0);  // ack trailer: nothing acked, no ack request
-    Bytes wire = frame.take();
-    wire.insert(wire.begin(), static_cast<std::uint8_t>(Tag::kChannel));
-    w.network().send(1, 0, std::move(wire));
+  // Take REAL encoded consensus messages of every kind, truncate them at
+  // every length and hand each prefix straight to the consensus decoder
+  // (through the channel, frames ahead of the receive cursor would only be
+  // parked): no prefix may start an instance, decide one or send anything.
+  const std::vector<ProcessId> members{0, 1, 2};
+  const Bytes value = bytes_of("estimate-payload");
+  auto message = [](std::uint8_t kind, const std::function<void(Encoder&)>& body) {
+    Encoder enc;
+    enc.put_byte(kind);
+    enc.put_u64(7);  // instance
+    body(enc);
+    return enc.take();
+  };
+  auto put_members = [&](Encoder& e) {
+    e.put_vector(members, [](Encoder& en, ProcessId p) { en.put_i32(p); });
+  };
+  const std::vector<Bytes> messages = {
+      message(0, [&](Encoder& e) {  // ESTIMATE r=3 (c(3) = p0), ts=2
+        e.put_i64(3);
+        e.put_i64(2);
+        put_members(e);
+        e.put_bytes(value);
+      }),
+      message(1, [&](Encoder& e) {  // PROPOSE r=0
+        e.put_i64(0);
+        e.put_bytes(value);
+      }),
+      message(2, [&](Encoder& e) { e.put_i64(0); }),  // ACK r=0
+      message(3, [&](Encoder& e) {                    // NACK r=0
+        e.put_i64(0);
+        put_members(e);
+      }),
+      message(4, [&](Encoder& e) { e.put_bytes(value); }),  // DECIDE
+      message(5, [&](Encoder& e) {                          // ANNOUNCE
+        put_members(e);
+        e.put_bytes(value);
+      }),
+  };
+
+  sim::Engine engine;
+  sim::Network network(engine, 3, {}, 31);
+  sim::Context ctx(0, engine, Rng(31), Logger(), std::make_shared<Metrics>());
+  SimTransport transport(ctx, network);
+  ReliableChannel channel(ctx, transport);
+  FailureDetector fd(ctx, transport);
+  Consensus consensus(ctx, channel, fd, fd.add_class(msec(60)));
+  int decisions = 0;
+  consensus.on_decide([&](std::uint64_t, const Bytes&) { ++decisions; });
+
+  for (const Bytes& full : messages) {
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      consensus.on_message(1, BytesView(full.data(), len));
+    }
   }
-  w.stack(2).abcast(bytes_of("still fine"));
-  ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered >= 1; }));
+  engine.run_until(msec(50));
+  EXPECT_EQ(consensus.open_instances(), 0);
+  EXPECT_EQ(ctx.metrics().counter("consensus.instances_started"), 0);
+  EXPECT_EQ(ctx.metrics().counter("consensus.wire_msgs"), 0);
+  EXPECT_EQ(decisions, 0);
+  // The whole DECIDE does reach the decoder.
+  consensus.on_message(1, messages[4]);
+  EXPECT_EQ(decisions, 1);
+  EXPECT_TRUE(consensus.decided(7));
 }
 
 }  // namespace

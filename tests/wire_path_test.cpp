@@ -32,9 +32,9 @@ World::Config cfg(int n, std::uint64_t seed) {
 
 TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
   // The joiner's state snapshot carries adelivered ids but no payload
-  // bytes, and the burst below was flooded to {0,1,2} before the join view
-  // installed — so the joiner decides those instances without ever having
-  // rdelivered the messages. The only way it can deliver them is the
+  // bytes, and the message `gap` below is flooded to {0,1,2} only yet
+  // ordered after the join — so the joiner decides its instance without
+  // ever having rdelivered it. The only way it can deliver it is the
   // Tag::kAbcast pull/push fallback.
   World w(cfg(4, 23));
   std::vector<test::DeliveryLog> logs(4);
@@ -48,27 +48,40 @@ TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
     w.stack(static_cast<ProcessId>(i % 3)).abcast(bytes_of("pre" + std::to_string(i)));
     w.run_for(msec(5));
   }
-  ASSERT_TRUE(test::run_until(w, sec(10), [&] { return logs[0].size() >= 10; }));
+  ASSERT_TRUE(test::run_until(w, sec(10), [&] {
+    return logs[0].size() >= 10 && logs[1].size() >= 10 && logs[2].size() >= 10;
+  }));
+  w.run_for(msec(50));  // quiesce: no instance open anywhere
 
-  // Join while a steady trickle keeps consensus instances in flight. A
-  // message a member submits after the join op is proposed but before its
-  // own view installs is flooded to the OLD group only, yet ordered in an
-  // instance after the joiner's snapshot — exactly the decide-without-
-  // rdeliver case the pull fallback exists for.
+  // Join via contact 0, and stop right after p0 starts the join's
+  // instance J. p0 coordinates J (members[0]) and has proposed its batch,
+  // so `gap` is not in J. p0 floods `gap` to the old group before it sends
+  // DECIDE(J), so on every FIFO channel from p0 the flood precedes the
+  // decision: p1 and p2 relay `gap` before they install the view with the
+  // joiner, and nobody relays it to the joiner.
+  const std::int64_t started = w.stack(0).metrics().counter("consensus.instances_started");
   w.stack(3).join(0);
+  ASSERT_TRUE(test::run_until(w, sec(10), [&] {
+    return w.stack(0).metrics().counter("consensus.instances_started") > started;
+  }));
+  ASSERT_FALSE(w.stack(0).view().contains(3));
+  w.stack(0).abcast(bytes_of("gap"));
+  // A steady trickle after the join keeps instances in flight.
   const int kBurst = 60;
   for (int i = 0; i < kBurst; ++i) {
     w.stack(static_cast<ProcessId>(i % 3)).abcast(bytes_of("burst" + std::to_string(i)));
     w.run_for(msec(1));
   }
   ASSERT_TRUE(test::run_until(w, sec(20), [&] {
-    return w.stack(3).membership().is_member() && logs[0].size() >= 10 + kBurst &&
+    return w.stack(3).membership().is_member() && logs[0].size() >= 11 + kBurst &&
            logs[3].size() >= 5;
   }));
   w.run_for(sec(1));
 
   EXPECT_GT(w.stack(3).metrics().counter("abcast.pull_requests"), 0)
       << "joiner never exercised the payload-pull fallback";
+  EXPECT_NE(std::find(logs[3].payloads.begin(), logs[3].payloads.end(), "gap"),
+            logs[3].payloads.end());
   // Byte-identical delivery: the joiner's whole log must equal the
   // corresponding window of a founding member's log, ids and payloads.
   const auto& member = logs[0];
